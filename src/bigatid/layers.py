@@ -6,7 +6,9 @@ Conventions: batch-first shapes, float64 throughout, parameters immutable
 during a forward/backward pair. Each forward returns (output, cache); the
 matching backward consumes exactly one forward's cache and returns the
 input gradient plus parameter gradients carried in the same dataclass
-shape as the parameters themselves.
+shape as the parameters themselves. The recurrent and attention forwards
+take `train`: when it is False they keep nothing for a backward pass and
+the cache is None.
 """
 
 from __future__ import annotations
@@ -222,11 +224,12 @@ def time_dense_backward(p: DenseParams, cache, dy: np.ndarray):
 
 def layer_norm_forward(p: LayerNormParams, x: np.ndarray, eps: float = 1e-3):
     x = as_f64(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    y = xhat * p.gamma + p.beta
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    y = np.square(xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, p.gamma, out=y)
+    y += p.beta
     return y, (xhat, inv)
 
 
@@ -296,10 +299,58 @@ def concat_last(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# fused projections
+# ---------------------------------------------------------------------------
+
+def _gate_blocks(w: np.ndarray, k: int) -> np.ndarray:
+    """(m, k*n) -> (k, m, n) view, one block per gate."""
+    return w.reshape(w.shape[0], k, -1).transpose(1, 0, 2)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, bias: np.ndarray, k: int = 1) -> np.ndarray:
+    """x (..., d) @ w + bias for (d, k*n) w, as (k, m, n) with m the product
+    of the leading dimensions: one batched GEMM, k blocks of output columns.
+    The bias is the weight row of a constant-1 input column, so no pass over
+    the output adds it."""
+    x1 = np.ones(x.shape[:-1] + (x.shape[-1] + 1,))
+    x1[..., :-1] = x
+    w1 = _gate_blocks(np.concatenate([w, bias[None]]), k)
+    return np.matmul(x1.reshape(-1, x1.shape[-1]), w1)
+
+
+# ---------------------------------------------------------------------------
 # GRU / BiGRU
 # ---------------------------------------------------------------------------
 
-def gru_sequence_forward(p: GruParams, x: np.ndarray, reverse: bool = False):
+def _input_projection(x: np.ndarray, w: np.ndarray, bias: np.ndarray, k: int) -> np.ndarray:
+    """Every step's input projection for k gates, (b, T, d) -> (k, T, b, n):
+    gate-major and time-major, so each gate's slice at each step is one
+    contiguous block."""
+    b, t, _ = x.shape
+    return _affine(x.transpose(1, 0, 2), w, bias, k).reshape(k, t, b, -1)
+
+
+def _input_backward(w: np.ndarray, x: np.ndarray, da: np.ndarray):
+    """Input and kernel gradients of _input_projection from the stacked
+    (T, b, k*n) pre-activation gradients: (dx (b, T, d), dW), one GEMM each."""
+    b, t, d = x.shape
+    da2 = da.reshape(t * b, -1)
+    dw = x.transpose(1, 0, 2).reshape(t * b, d).T @ da2
+    dx = (da2 @ w.T).reshape(t, b, d).transpose(1, 0, 2)
+    return dx, dw
+
+
+def _recurrent_weight_grad(h_seq: np.ndarray, da: np.ndarray, reverse: bool) -> np.ndarray:
+    """Sum over steps of h_prev^T da as one GEMM, for time-major (T, b, n)
+    states and (T, b, k*n) gradients. The first step in recurrence order has
+    h_prev = 0 and contributes nothing."""
+    n = h_seq.shape[2]
+    h_prev, da_rec = (h_seq[1:], da[:-1]) if reverse else (h_seq[:-1], da[1:])
+    return h_prev.reshape(-1, n).T @ da_rec.reshape(-1, da.shape[2])
+
+
+def gru_sequence_forward(p: GruParams, x: np.ndarray, reverse: bool = False,
+                         train: bool = True):
     """Reset-after GRU over a full sequence, zero initial state.
 
     x (b, T, d) -> h_seq (b, T, n). Per step:
@@ -307,78 +358,89 @@ def gru_sequence_forward(p: GruParams, x: np.ndarray, reverse: bool = False):
         r = sig(x W_r + br_in + h U_r + br_rec)
         hc = tanh(x W_h + bh_in + r * (h U_h + bh_rec))
         h' = (1 - z) * h + z * hc
-    reverse=True runs the recurrence back in time and re-reverses the output.
+    reverse=True runs the recurrence back in time; h_seq stays in input time
+    order. The input projections of all steps, with the z and r recurrent
+    biases, are one GEMM before the loop; each step writes z, r and hc over
+    its slice of that buffer.
     """
     x = as_f64(x)
     if x.ndim != 3 or x.shape[2] != p.W_in.shape[0]:
         raise ShapeError(f"gru: input {x.shape} does not match kernel {p.W_in.shape}")
     n = p.units
     b, t, _ = x.shape
-    xs = x[:, ::-1] if reverse else x
+    bias = p.b_in.copy()
+    bias[:2 * n] += p.b_rec[:2 * n]
+    gates = _input_projection(x, p.W_in, bias, 3)    # (3, T, b, n): z, r, hc after the step
+    w_rec = _gate_blocks(p.W_rec, 3)
+    bh_rec = np.broadcast_to(p.b_rec[2 * n:], (b, n)).copy()  # full rows: contiguous adds
+    h_seq = np.empty((t, b, n))
+    s_seq = np.empty((t, b, n)) if train else None  # h U_h + bh_rec, kept for backward
+    a_rec = np.empty((3, b, n))
+    tmp = np.empty((b, n))
     h = np.zeros((b, n))
-    h_seq = np.empty((b, t, n))
-    steps = []
-    for i in range(t):
-        xt = xs[:, i]
-        a_in = xt @ p.W_in
-        a_in += p.b_in
-        a_rec = h @ p.W_rec
-        a_rec += p.b_rec
-        z = sigmoid(a_in[:, :n] + a_rec[:, :n])
-        r = sigmoid(a_in[:, n:2 * n] + a_rec[:, n:2 * n])
-        s = a_rec[:, 2 * n:]
-        hc = np.tanh(a_in[:, 2 * n:] + r * s)
-        steps.append((xt, h, z, r, s, hc))
-        h = (1.0 - z) * h + z * hc
-        h_seq[:, i] = h
-    out = h_seq[:, ::-1] if reverse else h_seq
-    return out, (steps, x.shape, reverse)
+    for i in (range(t - 1, -1, -1) if reverse else range(t)):
+        np.matmul(h, w_rec, out=a_rec)
+        zr = gates[:2, i]
+        zr += a_rec[:2]
+        sigmoid(zr, out=zr)
+        z, r, hc = gates[:, i]
+        s = a_rec[2]
+        s += bh_rec
+        if train:
+            s_seq[i] = s
+        np.multiply(r, s, out=tmp)
+        hc += tmp
+        np.tanh(hc, out=hc)
+        np.subtract(1.0, z, out=tmp)
+        tmp *= h
+        h = h_seq[i]
+        np.multiply(z, hc, out=h)
+        h += tmp
+    cache = (x, gates, s_seq, h_seq, reverse) if train else None
+    return h_seq.transpose(1, 0, 2), cache
 
 
 def gru_sequence_backward(p: GruParams, cache, dh_seq: np.ndarray):
     """BPTT over all steps. Returns (dx (b,T,d), GruParams gradients)."""
-    steps, x_shape, reverse = cache
+    x, gates, s_seq, h_seq, reverse = cache
     n = p.units
+    t, b, _ = h_seq.shape
     dh_seq = as_f64(dh_seq)
-    ds_seq = dh_seq[:, ::-1] if reverse else dh_seq
-    dW_in = np.zeros_like(p.W_in)
-    dW_rec = np.zeros_like(p.W_rec)
-    db_in = np.zeros_like(p.b_in)
-    db_rec = np.zeros_like(p.b_rec)
-    dx = np.empty(x_shape)  # filled in recurrence order, un-reversed at the end
-    dh = np.zeros((x_shape[0], n))
-    for i in range(len(steps) - 1, -1, -1):
-        xt, h_prev, z, r, s, hc = steps[i]
-        dh = dh + ds_seq[:, i]
+    da = np.empty((t, b, 3 * n))   # recurrent pre-activation gradients: z, r, s
+    dah = np.empty((t, b, n))      # candidate pre-activation gradient
+    zeros = np.zeros((b, n))
+    dh = np.zeros((b, n))
+    for i in (range(t) if reverse else range(t - 1, -1, -1)):
+        prev = i + 1 if reverse else i - 1
+        h_prev = h_seq[prev] if 0 <= prev < t else zeros
+        z, r, hc = gates[:, i]
+        dh += dh_seq[:, i]
         dz = dh * (hc - h_prev)
         dhc = dh * z
-        dh_prev = dh * (1.0 - z)
-        dah = dhc * (1.0 - hc * hc)
-        dr = dah * s
-        ds = dah * r
-        dar = dr * r * (1.0 - r)
-        daz = dz * z * (1.0 - z)
-        da_in = np.concatenate([daz, dar, dah], axis=1)
-        da_rec = np.concatenate([daz, dar, ds], axis=1)
-        dW_in += xt.T @ da_in
-        db_in += da_in.sum(axis=0)
-        dW_rec += h_prev.T @ da_rec
-        db_rec += da_rec.sum(axis=0)
-        dx[:, i] = da_in @ p.W_in.T
-        dh = dh_prev + da_rec @ p.W_rec.T
-    if reverse:
-        dx = dx[:, ::-1]
-    grads = GruParams(W_in=dW_in, W_rec=dW_rec, b_in=db_in, b_rec=db_rec)
-    return dx, grads
+        dh_prev = dh - dhc
+        np.multiply(dhc, 1.0 - hc * hc, out=dah[i])
+        d = da[i]
+        np.multiply(dz, z * (1.0 - z), out=d[:, :n])
+        np.multiply(dah[i] * s_seq[i], r * (1.0 - r), out=d[:, n:2 * n])
+        np.multiply(dah[i], r, out=d[:, 2 * n:])
+        dh = d @ p.W_rec.T
+        dh += dh_prev
+    dW_rec = _recurrent_weight_grad(h_seq, da, reverse)
+    db_rec = da.sum(axis=(0, 1))
+    db_in = np.concatenate([db_rec[:2 * n], dah.sum(axis=(0, 1))])
+    da[:, :, 2 * n:] = dah         # now the input pre-activation gradients
+    dx, dW_in = _input_backward(p.W_in, x, da)
+    return dx, GruParams(W_in=dW_in, W_rec=dW_rec, b_in=db_in, b_rec=db_rec)
 
 
-def bigru_forward(p_fwd: GruParams, p_bwd: GruParams, x: np.ndarray):
+def bigru_forward(p_fwd: GruParams, p_bwd: GruParams, x: np.ndarray, train: bool = True):
     """Concatenation [forward || backward-in-time], output width 2n."""
     if p_fwd.W_in.shape != p_bwd.W_in.shape or p_fwd.W_rec.shape != p_bwd.W_rec.shape:
         raise ShapeError("bigru: direction parameter shapes disagree")
-    h_f, cache_f = gru_sequence_forward(p_fwd, x, reverse=False)
-    h_b, cache_b = gru_sequence_forward(p_bwd, x, reverse=True)
-    return np.concatenate([h_f, h_b], axis=-1), (cache_f, cache_b, p_fwd.units)
+    h_f, cache_f = gru_sequence_forward(p_fwd, x, reverse=False, train=train)
+    h_b, cache_b = gru_sequence_forward(p_bwd, x, reverse=True, train=train)
+    cache = (cache_f, cache_b, p_fwd.units) if train else None
+    return np.concatenate([h_f, h_b], axis=-1), cache
 
 
 def bigru_backward(p_fwd: GruParams, p_bwd: GruParams, cache, dy: np.ndarray):
@@ -393,76 +455,79 @@ def bigru_backward(p_fwd: GruParams, p_bwd: GruParams, cache, dy: np.ndarray):
 # LSTM
 # ---------------------------------------------------------------------------
 
-def lstm_sequence_forward(p: LstmParams, x: np.ndarray):
+def lstm_sequence_forward(p: LstmParams, x: np.ndarray, train: bool = True):
     """LSTM over a full sequence, zero initial hidden and cell states.
 
     x (b, T, d) -> h_seq (b, T, n). Gates i, f, g, o along the 4n axis;
-    c' = f*c + i*g, h' = o*tanh(c').
+    c' = f*c + i*g, h' = o*tanh(c'). The input projections of all steps are
+    one GEMM before the loop, and each step writes its gates over its slice
+    of that buffer.
     """
     x = as_f64(x)
     if x.ndim != 3 or x.shape[2] != p.W_in.shape[0]:
         raise ShapeError(f"lstm: input {x.shape} does not match kernel {p.W_in.shape}")
     n = p.units
     b, t, _ = x.shape
+    gates = _input_projection(x, p.W_in, p.b, 4)   # (4, T, b, n): i, f, g, o after the step
+    w_rec = _gate_blocks(p.W_rec, 4)
+    h_seq = np.empty((t, b, n))
+    c_seq = np.empty((t, b, n)) if train else None
+    a_rec = np.empty((4, b, n))
+    tmp = np.empty((b, n))
     h = np.zeros((b, n))
     c = np.zeros((b, n))
-    h_seq = np.empty((b, t, n))
-    steps = []
     for idx in range(t):
-        xt = x[:, idx]
-        a = xt @ p.W_in
-        a += h @ p.W_rec
-        a += p.b
-        i = sigmoid(a[:, :n])
-        f = sigmoid(a[:, n:2 * n])
-        g = np.tanh(a[:, 2 * n:3 * n])
-        o = sigmoid(a[:, 3 * n:])
-        c_new = f * c + i * g
-        steps.append((xt, h, c, i, f, g, o, c_new))
+        a = gates[:, idx]
+        np.matmul(h, w_rec, out=a_rec)
+        a += a_rec
+        sigmoid(a[:2], out=a[:2])
+        i, f, g, o = a
+        np.tanh(g, out=g)
+        sigmoid(o, out=o)
+        np.multiply(i, g, out=tmp)
+        c_new = c_seq[idx] if train else c
+        np.multiply(f, c, out=c_new)
+        c_new += tmp
         c = c_new
-        h = o * np.tanh(c)
-        h_seq[:, idx] = h
-    return h_seq, (steps, x.shape)
+        h = h_seq[idx]
+        np.tanh(c, out=h)
+        h *= o
+    cache = (x, gates, c_seq, h_seq) if train else None
+    return h_seq.transpose(1, 0, 2), cache
 
 
 def lstm_sequence_backward(p: LstmParams, cache, dh_seq: np.ndarray):
-    steps, x_shape = cache
+    x, gates, c_seq, h_seq = cache
     n = p.units
+    t, b, _ = h_seq.shape
     dh_seq = as_f64(dh_seq)
-    dW_in = np.zeros_like(p.W_in)
-    dW_rec = np.zeros_like(p.W_rec)
-    db = np.zeros_like(p.b)
-    dx = np.empty(x_shape)
-    dh = np.zeros((x_shape[0], n))
-    dc = np.zeros((x_shape[0], n))
-    for idx in range(len(steps) - 1, -1, -1):
-        xt, h_prev, c_prev, i, f, g, o, c = steps[idx]
-        dh = dh + dh_seq[:, idx]
+    da = np.empty((t, b, 4 * n))
+    zeros = np.zeros((b, n))
+    dh = np.zeros((b, n))
+    dc = np.zeros((b, n))
+    for idx in range(t - 1, -1, -1):
+        i, f, g, o = gates[:, idx]
+        c, c_prev = c_seq[idx], c_seq[idx - 1] if idx > 0 else zeros
+        dh += dh_seq[:, idx]
         tc = np.tanh(c)
         do = dh * tc
         dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
+        d = da[idx]
+        np.multiply(dc * g, i * (1.0 - i), out=d[:, :n])
+        np.multiply(dc * c_prev, f * (1.0 - f), out=d[:, n:2 * n])
+        np.multiply(dc * i, 1.0 - g * g, out=d[:, 2 * n:3 * n])
+        np.multiply(do, o * (1.0 - o), out=d[:, 3 * n:])
         dc = dc * f  # carries to c_{t-1}
-        da = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ], axis=1)
-        dW_in += xt.T @ da
-        dW_rec += h_prev.T @ da
-        db += da.sum(axis=0)
-        dx[:, idx] = da @ p.W_in.T
-        dh = da @ p.W_rec.T
-    return dx, LstmParams(W_in=dW_in, W_rec=dW_rec, b=db)
+        dh = d @ p.W_rec.T
+    dW_rec = _recurrent_weight_grad(h_seq, da, reverse=False)
+    dx, dW_in = _input_backward(p.W_in, x, da)
+    return dx, LstmParams(W_in=dW_in, W_rec=dW_rec, b=da.sum(axis=(0, 1)))
 
 
-def lstm_last_forward(p: LstmParams, x: np.ndarray):
+def lstm_last_forward(p: LstmParams, x: np.ndarray, train: bool = True):
     """Sequence LSTM returning only the final hidden state: (b, T, d) -> (b, n)."""
-    h_seq, cache = lstm_sequence_forward(p, x)
-    return h_seq[:, -1], (cache, h_seq.shape)
+    h_seq, cache = lstm_sequence_forward(p, x, train=train)
+    return h_seq[:, -1], ((cache, h_seq.shape) if train else None)
 
 
 def lstm_last_backward(p: LstmParams, cache, dy: np.ndarray):
@@ -476,34 +541,33 @@ def lstm_last_backward(p: LstmParams, cache, dy: np.ndarray):
 # multi-head self-attention
 # ---------------------------------------------------------------------------
 
-def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int):
+def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: bool = True):
     """Self-attention: per head A = softmax(Q K^T / sqrt(d_k)), head = A V;
     heads concatenated then projected back to d_model. No mask, no
-    positional encoding. x (b, T, d_model) -> (b, T, d_model)."""
+    positional encoding. x (b, T, d_model) -> (b, T, d_model).
+
+    Q, K and V come from one GEMM against [Wq | Wk | Wv]; the scale and the
+    softmax run in place on the score buffer, and A V is written straight
+    into the (b, T, h, d_k) layout the output projection reads."""
     x = as_f64(x)
     if x.ndim != 3 or x.shape[2] != p.Wq.shape[0]:
         raise ShapeError(f"mha: input {x.shape} does not match projections {p.Wq.shape}")
     if heads * d_k != p.Wq.shape[1]:
         raise ShapeError(f"mha: heads*d_k = {heads * d_k} != projection width {p.Wq.shape[1]}")
     b, t, d_model = x.shape
-    x2 = x.reshape(b * t, d_model)  # one GEMM per projection, not b small ones
-
-    def project(w, bias):  # (b*T, d) @ (d, h*dk) + bias -> (b, h, T, dk)
-        m = x2 @ w
-        m += bias
-        return m.reshape(b, t, heads, d_k).transpose(0, 2, 1, 3)
-
-    q = project(p.Wq, p.bq)
-    k = project(p.Wk, p.bk)
-    v = project(p.Wv, p.bv)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
-    scores *= 1.0 / np.sqrt(d_k)                            # (b, h, T, T)
-    attn = softmax_rows(scores)
-    heads_out = np.matmul(attn, v)                          # (b, h, T, dk)
-    ccat = heads_out.transpose(0, 2, 1, 3).reshape(b * t, heads * d_k)
+    qkv = _affine(x, np.concatenate([p.Wq, p.Wk, p.Wv], axis=1),
+                  np.concatenate([p.bq, p.bk, p.bv]))
+    q, k, v = qkv.reshape(b, t, 3, heads, d_k).transpose(2, 0, 3, 1, 4)  # (b, h, T, dk) views
+    attn = np.matmul(q, k.transpose(0, 1, 3, 2))            # (b, h, T, T)
+    attn *= 1.0 / np.sqrt(d_k)
+    softmax_rows(attn, out=attn)
+    merged = np.empty((b, t, heads, d_k))
+    np.matmul(attn, v, out=merged.transpose(0, 2, 1, 3))
+    ccat = merged.reshape(b * t, heads * d_k)
     y = ccat @ p.Wo
     y += p.bo
-    return y.reshape(b, t, d_model), (x, q, k, v, attn, ccat, heads, d_k)
+    cache = (x, q, k, v, attn, ccat, heads, d_k) if train else None
+    return y.reshape(b, t, d_model), cache
 
 
 def mha_self_backward(p: MhaParams, cache, dy: np.ndarray):

@@ -399,14 +399,18 @@ def forward(params: dict, spec: VariantSpec, x: np.ndarray, mode: str = "eval",
         for node in nodes:
             if node.kind == "bigru":
                 h, c = layers.bigru_forward(_gru_view(params, f"{node.name}.fwd"),
-                                            _gru_view(params, f"{node.name}.bwd"), h)
+                                            _gru_view(params, f"{node.name}.bwd"), h,
+                                            train=train)
             elif node.kind == "lstm_seq":
-                h, c = layers.lstm_sequence_forward(_lstm_view(params, node.name), h)
+                h, c = layers.lstm_sequence_forward(_lstm_view(params, node.name), h,
+                                                    train=train)
             elif node.kind == "lstm":
-                h, c = layers.lstm_last_forward(_lstm_view(params, node.name), h)
+                h, c = layers.lstm_last_forward(_lstm_view(params, node.name), h,
+                                                train=train)
             elif node.kind == "mha":
                 h, c = layers.mha_self_forward(_mha_view(params, node.name), h,
-                                               node.block.heads, node.block.key_dim)
+                                               node.block.heads, node.block.key_dim,
+                                               train=train)
             elif node.kind == "layer_norm":
                 h, c = layers.layer_norm_forward(_ln_view(params, node.name), h,
                                                  eps=spec.ln_eps)

@@ -35,11 +35,19 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic: exp(-softplus(-x)) is stable for any sign."""
-    out = np.logaddexp(0.0, -as_f64(x))
-    np.negative(out, out=out)
-    np.exp(out, out=out)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function in the form 0.5 * (1 + tanh(x / 2)), which cannot
+    overflow for any finite x. Pass `out` (which may be `x` itself) to write
+    the result there instead of into a new array.
+
+    Its absolute deviation from 1/(1 + exp(-x)) is at most about 2.2e-16, one
+    ulp of 1. Below about x = -38 the result is exactly 0, so relative
+    accuracy is lost in that tail.
+    """
+    out = np.multiply(as_f64(x), 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -63,13 +71,14 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
     return fn(x)
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Last-axis softmax with max subtraction; each row sums to 1."""
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Last-axis softmax with max subtraction; each row sums to 1. Pass `out`
+    (which may be `x` itself) to write the result there."""
     x = as_f64(x)
-    e = x - x.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

@@ -203,7 +203,7 @@ def batched_probs(params, spec, X, batch_size: int = 512) -> np.ndarray:
     for start in range(0, X.shape[0], batch_size):
         probs, _ = forward(params, spec, X[start:start + batch_size], mode="eval")
         outs.append(probs)
-    return np.concatenate(outs)
+    return np.concatenate(outs) if outs else np.empty((0, spec.n_classes))
 
 
 def train(spec: VariantSpec, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,
@@ -249,9 +249,11 @@ def train(spec: VariantSpec, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
             total_loss += loss * len(idx)
             total_correct += int((probs.argmax(axis=1) == train_ds.y[idx]).sum())
 
-        val_probs = batched_probs(params, spec, val_ds.X)
-        val_loss, _ = loss_fn(val_probs, y_val_1h)
-        val_acc = float((val_probs.argmax(axis=1) == val_ds.y).mean()) if len(val_ds) else 0.0
+        val_loss = val_acc = 0.0
+        if len(val_ds):
+            val_probs = batched_probs(params, spec, val_ds.X)
+            val_loss, _ = loss_fn(val_probs, y_val_1h)
+            val_acc = float((val_probs.argmax(axis=1) == val_ds.y).mean())
         history.rows.append(EpochStats(
             epoch=epoch + 1,
             train_loss=total_loss / n,

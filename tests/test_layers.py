@@ -129,6 +129,11 @@ class TestFlattenConcat:
             L.concat_last(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
+# (seed, (batch, T)): three seeds at a small shape, then batch 1 with T=1, the
+# edge shape of the recurrences' hoisted input GEMMs and after-loop weight GEMMs.
+EDGE_SHAPE_CASES = ((0, (2, 3)), (1, (2, 3)), (2, (2, 3)), (3, (1, 1)))
+
+
 def manual_gru_step(p: L.GruParams, x_t, h_prev):
     """Independent single-step reference for the reset-after recurrence."""
     n = p.units
@@ -172,10 +177,10 @@ class TestGru:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients(self, reverse):
-        for seed in range(3):
+        for seed, shape in EDGE_SHAPE_CASES:
             rng = RngStream(seed)
             p = L.GruParams.init(rng, 1, 4)
-            x = rng.normal(size=(2, 3, 1))
+            x = rng.normal(size=shape + (1,))
             check_layer_grads(
                 p, lambda p_, x_: L.gru_sequence_forward(p_, x_, reverse=reverse),
                 L.gru_sequence_backward, x, rng)
@@ -258,17 +263,18 @@ class TestLstm:
         assert np.array_equal(h_last, h_seq[:, -1])
 
     def test_gradients_last(self):
-        for seed in range(3):
+        for seed, shape in EDGE_SHAPE_CASES:
             rng = RngStream(seed)
             p = L.LstmParams.init(rng, 1, 4)
-            x = rng.normal(size=(2, 3, 1))
+            x = rng.normal(size=shape + (1,))
             check_layer_grads(p, L.lstm_last_forward, L.lstm_last_backward, x, rng)
 
     def test_gradients_sequence(self):
-        rng = RngStream(21)
-        p = L.LstmParams.init(rng, 1, 4)
-        x = rng.normal(size=(2, 3, 1))
-        check_layer_grads(p, L.lstm_sequence_forward, L.lstm_sequence_backward, x, rng)
+        for seed, shape in ((21, (2, 3)), (22, (1, 1))):
+            rng = RngStream(seed)
+            p = L.LstmParams.init(rng, 1, 4)
+            x = rng.normal(size=shape + (1,))
+            check_layer_grads(p, L.lstm_sequence_forward, L.lstm_sequence_backward, x, rng)
 
 
 class TestMha:
@@ -309,10 +315,10 @@ class TestMha:
             L.mha_self_forward(p, np.zeros((1, 4, 6)), 3, 3)
 
     def test_gradients(self):
-        for seed in range(3):
+        for seed, shape in ((0, (1, 4)), (1, (1, 4)), (2, (1, 4)), (3, (1, 1))):
             rng = RngStream(seed)
             p = L.MhaParams.init(rng, 6, 2, 3)
-            x = rng.normal(size=(1, 4, 6))
+            x = rng.normal(size=shape + (6,))
             check_layer_grads(p, lambda p_, x_: L.mha_self_forward(p_, x_, 2, 3),
                               L.mha_self_backward, x, rng)
 

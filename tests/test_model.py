@@ -167,6 +167,21 @@ class TestForward:
         _, caches = forward(params, spec, x, mode="train", rng=RngStream(13))
         assert caches is not None
 
+    def test_eval_and_train_compute_the_same_function(self):
+        # shrink_variant sets every dropout rate to 0, so only the cache differs;
+        # the noise makes every bias nonzero
+        rng = RngStream(15)
+        for v in table5_variants(8, 3):
+            small = shrink_variant(v.spec)
+            noise = rng.spawn(20 + v.id)
+            params = {k: t + 0.1 * noise.normal(size=t.shape)
+                      for k, t in build(small, rng.spawn(v.id)).items()}
+            x = rng.spawn(50 + v.id).normal(size=(3, 5, 1))
+            p_eval, caches = forward(params, small, x, mode="eval")
+            p_train, _ = forward(params, small, x, mode="train", rng=rng.spawn(99))
+            assert caches is None
+            assert np.abs(p_eval - p_train).max() <= 1e-15, v.label
+
     def test_train_step_changes_loss(self):
         # one step of plain gradient descent on every variant must run end to end
         rng = RngStream(14)

@@ -64,6 +64,22 @@ class TestActivations:
         total = sigmoid(x) + sigmoid(-x)
         assert np.abs(total - 1.0).max() < 1e-12
 
+    def test_sigmoid_matches_logistic_closed_form(self):
+        x = np.linspace(-30.0, 30.0, 60_001)
+        assert np.abs(sigmoid(x) - 1.0 / (1.0 + np.exp(-x))).max() <= 2.3e-16
+
+    def test_sigmoid_saturates_without_floating_point_errors(self):
+        with np.errstate(all="raise"):
+            out = sigmoid(np.array([-800.0, 800.0]))
+        assert np.isfinite(out).all()
+        assert 0.0 <= out[0] <= out[1] <= 1.0
+
+    def test_sigmoid_in_place_equals_allocating(self):
+        x = RngStream(3).normal(size=(4, 5)) * 10
+        expected = sigmoid(x)
+        assert sigmoid(x, out=x) is x
+        assert np.array_equal(x, expected)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown activation"):
             activation(np.zeros(3), "gelu")
@@ -73,6 +89,12 @@ class TestSoftmax:
     def test_uniform_on_zeros(self):
         out = softmax_rows(np.zeros(6))
         assert np.abs(out - 1.0 / 6.0).max() < 1e-15
+
+    def test_in_place_equals_allocating(self):
+        x = RngStream(4).normal(size=(3, 4, 5)) * 10
+        expected = softmax_rows(x)
+        assert softmax_rows(x, out=x) is x
+        assert np.array_equal(x, expected)
 
     def test_large_magnitude_no_overflow(self):
         out = softmax_rows(np.array([1000.0, 0.0]))

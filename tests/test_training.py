@@ -11,6 +11,7 @@ from bigatid.training import (
     TrainConfig,
     TrainingDivergedError,
     adam_step,
+    batched_probs,
     cce_loss,
     focal_loss,
     train,
@@ -218,6 +219,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             train(tiny_bigat_spec(), tr.subset(np.array([], dtype=int)), te,
                   TrainConfig(epochs=1))
+
+    def test_empty_validation_set_records_zeros(self):
+        tr, te = tiny_sets(seed=5)
+        spec = tiny_bigat_spec()
+        empty = te.subset(np.array([], dtype=int))
+        assert batched_probs(build(spec, RngStream(0)), spec, empty.X).shape == (0, 3)
+        _, history = train(spec, tr, empty, TrainConfig(epochs=1, batch_size=8))
+        assert (history.rows[0].val_loss, history.rows[0].val_acc) == (0.0, 0.0)
+        assert np.isfinite(history.rows[0].train_loss)
 
     def test_seq_len_mismatch_rejected(self):
         tr, te = tiny_sets(seed=6, t=7)
