@@ -160,14 +160,17 @@ def merge_config(args: argparse.Namespace, extra_defaults: dict | None = None) -
 # shared pipeline stages
 # ---------------------------------------------------------------------------
 
-def load_source_dataset(cfg: RunConfig, rng: RngStream) -> D.Dataset:
+def load_source_dataset(cfg: RunConfig, rng: RngStream,
+                        codec: D.LabelCodec | None = None) -> D.Dataset:
+    """The configured CSV or synthetic dataset. A CSV's labels go through
+    `codec` when one is given, else through a codec fitted to them."""
     if cfg.csv:
         with _Stage("load"):
             table = D.load_csv(cfg.csv, label_column=cfg.label_column)
         with _Stage("clean"):
             table, _drops = D.clean(table)
         with _Stage("encode"):
-            features, labels, codec = D.encode(table)
+            features, labels, codec = D.encode(table, codec=codec)
         with _Stage("reshape"):
             return D.Dataset(X=D.to_sequences(features), y=labels, codec=codec)
     with _Stage("synth"):
@@ -318,22 +321,10 @@ def _load_checkpoint(path):
 def _eval_dataset_for_checkpoint(args, spec, codec, scaler) -> D.Dataset:
     """Build an evaluation dataset matching a checkpoint's preprocessing."""
     cfg = merge_config(args)
-    rng = RngStream(cfg.seed)
-    if cfg.csv:
-        with _Stage("load"):
-            table = D.load_csv(cfg.csv, label_column=cfg.label_column)
-        with _Stage("clean"):
-            table, _ = D.clean(table)
-        with _Stage("encode"):
-            features, labels, _ = D.encode(table, codec=codec)
-        ds = D.Dataset(X=D.to_sequences(features), y=labels, codec=codec)
-    else:
-        with _Stage("synth"):
-            ds = D.synth_generate(cfg.synth_classes, cfg.synth_per_class, cfg.synth_seq_len,
-                                  cfg.synth_separation, rng.spawn(0),
-                                  imbalance=cfg.synth_imbalance)
-        if tuple(ds.codec.classes) != tuple(codec.classes):
-            raise ConfigError("synthetic classes do not match the checkpoint codec")
+    ds = load_source_dataset(cfg, RngStream(cfg.seed), codec=codec)
+    # a CSV is encoded with `codec`; only synthetic classes can differ
+    if tuple(ds.codec.classes) != tuple(codec.classes):
+        raise ConfigError("synthetic classes do not match the checkpoint codec")
     if ds.seq_len != spec.seq_len:
         raise ConfigError(f"dataset has {ds.seq_len} features but the checkpoint "
                           f"expects {spec.seq_len}")
@@ -531,11 +522,7 @@ def cmd_synth(args) -> int:
     cfg = merge_config(args)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = RngStream(cfg.seed)
-    with _Stage("synth"):
-        ds = D.synth_generate(cfg.synth_classes, cfg.synth_per_class, cfg.synth_seq_len,
-                              cfg.synth_separation, rng.spawn(0),
-                              imbalance=cfg.synth_imbalance)
+    ds = load_source_dataset(cfg, RngStream(cfg.seed))
     csv_path = Path(args.out) if args.out else out_dir / "synth.csv"
     sidecar = csv_path.with_suffix(".sidecar.json")
     D.save_dataset_csv(ds, csv_path, sidecar_path=sidecar)

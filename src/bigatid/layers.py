@@ -2,13 +2,14 @@
 layer norm, dropout, flatten/concat, GRU (reset-after, dual bias),
 bidirectional GRU, LSTM, and multi-head self-attention.
 
-Conventions: batch-first shapes, float64 throughout, parameters immutable
-during a forward/backward pair. Each forward returns (output, cache); the
-matching backward consumes exactly one forward's cache and returns the
-input gradient plus parameter gradients carried in the same dataclass
-shape as the parameters themselves. The recurrent and attention forwards
-take `train`: when it is False they keep nothing for a backward pass and
-the cache is None.
+Conventions: batch-first shapes, float64 arrays in and out (the layers do
+not coerce their inputs; `model.forward` and `model.backward` do, once, at
+the model boundary), parameters immutable during a forward/backward pair.
+Each forward returns (output, cache); the matching backward consumes
+exactly one forward's cache and returns the input gradient plus parameter
+gradients carried in the same dataclass shape as the parameters
+themselves. The recurrent and attention forwards take `train`: when it is
+False they keep nothing for a backward pass and the cache is None.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, ShapeError, as_f64, sigmoid, softmax_rows
+from .numerics import RngStream, ShapeError, sigmoid, softmax_rows
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +54,6 @@ class DenseParams:
     def tensors(self):
         return [("W", self.W), ("b", self.b)]
 
-    def count(self) -> int:
-        return self.W.size + self.b.size
 
 
 @dataclass
@@ -69,8 +68,6 @@ class LayerNormParams:
     def tensors(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
-    def count(self) -> int:
-        return self.gamma.size + self.beta.size
 
 
 @dataclass
@@ -104,8 +101,6 @@ class GruParams:
         return [("W_in", self.W_in), ("W_rec", self.W_rec),
                 ("b_in", self.b_in), ("b_rec", self.b_rec)]
 
-    def count(self) -> int:
-        return self.W_in.size + self.W_rec.size + self.b_in.size + self.b_rec.size
 
 
 @dataclass
@@ -117,11 +112,9 @@ class LstmParams:
     b: np.ndarray      # (4n,)
 
     @classmethod
-    def init(cls, rng: RngStream, d: int, n: int, forget_bias: float = 0.0) -> "LstmParams":
+    def init(cls, rng: RngStream, d: int, n: int) -> "LstmParams":
         w_rec = np.concatenate([orthogonal(rng, n) for _ in range(4)], axis=1)
-        b = np.zeros(4 * n)
-        b[n:2 * n] = forget_bias
-        return cls(W_in=glorot_uniform(rng, d, 4 * n), W_rec=w_rec, b=b)
+        return cls(W_in=glorot_uniform(rng, d, 4 * n), W_rec=w_rec, b=np.zeros(4 * n))
 
     @property
     def units(self) -> int:
@@ -130,8 +123,6 @@ class LstmParams:
     def tensors(self):
         return [("W_in", self.W_in), ("W_rec", self.W_rec), ("b", self.b)]
 
-    def count(self) -> int:
-        return self.W_in.size + self.W_rec.size + self.b.size
 
 
 @dataclass
@@ -161,8 +152,6 @@ class MhaParams:
         return [("Wq", self.Wq), ("bq", self.bq), ("Wk", self.Wk), ("bk", self.bk),
                 ("Wv", self.Wv), ("bv", self.bv), ("Wo", self.Wo), ("bo", self.bo)]
 
-    def count(self) -> int:
-        return sum(t.size for _, t in self.tensors())
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +160,6 @@ class MhaParams:
 
 def dense_forward(p: DenseParams, x: np.ndarray, act: str = "none"):
     """y = act(x W + b). x (b, in) -> y (b, out); act in {none, relu, softmax}."""
-    x = as_f64(x)
     if x.shape[-1] != p.W.shape[0]:
         raise ShapeError(f"dense: input width {x.shape} does not match kernel {p.W.shape}")
     z = x @ p.W
@@ -189,7 +177,6 @@ def dense_forward(p: DenseParams, x: np.ndarray, act: str = "none"):
 
 def dense_backward(p: DenseParams, cache, dy: np.ndarray):
     x, z, y, act = cache
-    dy = as_f64(dy)
     if act == "none":
         dz = dy
     elif act == "relu":
@@ -206,7 +193,6 @@ def dense_backward(p: DenseParams, cache, dy: np.ndarray):
 
 def time_dense_forward(p: DenseParams, x: np.ndarray):
     """Width-expanding linear map applied per time step: (b, T, d) -> (b, T, out)."""
-    x = as_f64(x)
     b, t, d = x.shape
     y2, cache = dense_forward(p, x.reshape(b * t, d), act="none")
     return y2.reshape(b, t, -1), (cache, (b, t, d))
@@ -214,7 +200,7 @@ def time_dense_forward(p: DenseParams, x: np.ndarray):
 
 def time_dense_backward(p: DenseParams, cache, dy: np.ndarray):
     inner, (b, t, d) = cache
-    dx2, grads = dense_backward(p, inner, as_f64(dy).reshape(b * t, -1))
+    dx2, grads = dense_backward(p, inner, dy.reshape(b * t, -1))
     return dx2.reshape(b, t, d), grads
 
 
@@ -223,7 +209,6 @@ def time_dense_backward(p: DenseParams, cache, dy: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def layer_norm_forward(p: LayerNormParams, x: np.ndarray, eps: float = 1e-3):
-    x = as_f64(x)
     xhat = x - x.mean(axis=-1, keepdims=True)
     y = np.square(xhat)
     inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
@@ -235,7 +220,6 @@ def layer_norm_forward(p: LayerNormParams, x: np.ndarray, eps: float = 1e-3):
 
 def layer_norm_backward(p: LayerNormParams, cache, dy: np.ndarray):
     xhat, inv = cache
-    dy = as_f64(dy)
     reduce_axes = tuple(range(dy.ndim - 1))
     dgamma = (dy * xhat).sum(axis=reduce_axes)
     dbeta = dy.sum(axis=reduce_axes)
@@ -253,7 +237,6 @@ def layer_norm_backward(p: LayerNormParams, cache, dy: np.ndarray):
 def dropout_apply(x: np.ndarray, rate: float, mode: str, rng: RngStream | None = None):
     """Inverted dropout: train mode zeros with probability `rate` and scales
     survivors by 1/(1-rate); eval mode is the identity. Returns (y, mask)."""
-    x = as_f64(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     if mode == "eval" or rate == 0.0:
@@ -267,7 +250,6 @@ def dropout_apply(x: np.ndarray, rate: float, mode: str, rng: RngStream | None =
 
 
 def dropout_backward(mask, rate: float, dy: np.ndarray) -> np.ndarray:
-    dy = as_f64(dy)
     if mask is None:
         return dy
     return dy * mask / (1.0 - rate)
@@ -279,20 +261,17 @@ def dropout_backward(mask, rate: float, dy: np.ndarray) -> np.ndarray:
 
 def flatten(x: np.ndarray) -> np.ndarray:
     """(b, T, c) -> (b, T*c), row-major over the trailing axes."""
-    x = as_f64(x)
     if x.ndim != 3:
         raise ShapeError(f"flatten: expected rank-3 input, got shape {x.shape}")
     return x.reshape(x.shape[0], -1)
 
 
 def flatten_backward(shape: tuple[int, ...], dy: np.ndarray) -> np.ndarray:
-    return as_f64(dy).reshape(shape)
+    return dy.reshape(shape)
 
 
 def concat_last(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(b, p) || (b, q) -> (b, p+q)."""
-    a = as_f64(a)
-    c = as_f64(c)
     if a.shape[:-1] != c.shape[:-1]:
         raise ShapeError(f"concat: leading dimensions disagree, {a.shape} vs {c.shape}")
     return np.concatenate([a, c], axis=-1)
@@ -363,7 +342,6 @@ def gru_sequence_forward(p: GruParams, x: np.ndarray, reverse: bool = False,
     biases, are one GEMM before the loop; each step writes z, r and hc over
     its slice of that buffer.
     """
-    x = as_f64(x)
     if x.ndim != 3 or x.shape[2] != p.W_in.shape[0]:
         raise ShapeError(f"gru: input {x.shape} does not match kernel {p.W_in.shape}")
     n = p.units
@@ -405,7 +383,6 @@ def gru_sequence_backward(p: GruParams, cache, dh_seq: np.ndarray):
     x, gates, s_seq, h_seq, reverse = cache
     n = p.units
     t, b, _ = h_seq.shape
-    dh_seq = as_f64(dh_seq)
     da = np.empty((t, b, 3 * n))   # recurrent pre-activation gradients: z, r, s
     dah = np.empty((t, b, n))      # candidate pre-activation gradient
     zeros = np.zeros((b, n))
@@ -445,7 +422,6 @@ def bigru_forward(p_fwd: GruParams, p_bwd: GruParams, x: np.ndarray, train: bool
 
 def bigru_backward(p_fwd: GruParams, p_bwd: GruParams, cache, dy: np.ndarray):
     cache_f, cache_b, n = cache
-    dy = as_f64(dy)
     dx_f, g_fwd = gru_sequence_backward(p_fwd, cache_f, dy[..., :n])
     dx_b, g_bwd = gru_sequence_backward(p_bwd, cache_b, dy[..., n:])
     return dx_f + dx_b, g_fwd, g_bwd
@@ -463,7 +439,6 @@ def lstm_sequence_forward(p: LstmParams, x: np.ndarray, train: bool = True):
     one GEMM before the loop, and each step writes its gates over its slice
     of that buffer.
     """
-    x = as_f64(x)
     if x.ndim != 3 or x.shape[2] != p.W_in.shape[0]:
         raise ShapeError(f"lstm: input {x.shape} does not match kernel {p.W_in.shape}")
     n = p.units
@@ -500,7 +475,6 @@ def lstm_sequence_backward(p: LstmParams, cache, dh_seq: np.ndarray):
     x, gates, c_seq, h_seq = cache
     n = p.units
     t, b, _ = h_seq.shape
-    dh_seq = as_f64(dh_seq)
     da = np.empty((t, b, 4 * n))
     zeros = np.zeros((b, n))
     dh = np.zeros((b, n))
@@ -533,7 +507,7 @@ def lstm_last_forward(p: LstmParams, x: np.ndarray, train: bool = True):
 def lstm_last_backward(p: LstmParams, cache, dy: np.ndarray):
     inner, seq_shape = cache
     dh_seq = np.zeros(seq_shape)
-    dh_seq[:, -1] = as_f64(dy)
+    dh_seq[:, -1] = dy
     return lstm_sequence_backward(p, inner, dh_seq)
 
 
@@ -549,7 +523,6 @@ def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: b
     Q, K and V come from one GEMM against [Wq | Wk | Wv]; the scale and the
     softmax run in place on the score buffer, and A V is written straight
     into the (b, T, h, d_k) layout the output projection reads."""
-    x = as_f64(x)
     if x.ndim != 3 or x.shape[2] != p.Wq.shape[0]:
         raise ShapeError(f"mha: input {x.shape} does not match projections {p.Wq.shape}")
     if heads * d_k != p.Wq.shape[1]:
@@ -573,7 +546,6 @@ def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: b
 def mha_self_backward(p: MhaParams, cache, dy: np.ndarray):
     x, q, k, v, attn, ccat, heads, d_k = cache
     b, t, d_model = x.shape
-    dy = as_f64(dy)
     dy2 = dy.reshape(b * t, d_model)
     dWo = ccat.T @ dy2
     dbo = dy2.sum(axis=0)

@@ -9,13 +9,21 @@ sequences are flattened automatically, all branch outputs are concatenated,
 and the shared head (dense widths, then an n_classes softmax) produces the
 class distribution. A width-expanding per-step linear projection ("proj")
 feeds attention blocks that would otherwise see width-1 input.
+
+Block kinds: each kind is one class in the registry below, which alone
+knows the kind's spec fields and their checks, its output width and rank,
+its parameter names and shapes, its initialization, forward and backward,
+and its row in the inspect table. `_compile` turns a spec into nodes that
+carry their kind; everything after it (manifest, build, forward, backward,
+inspect) is a loop over nodes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,8 +36,6 @@ from .layers import (
     MhaParams,
 )
 from .numerics import RngStream, ShapeError, as_f64
-
-BLOCK_KINDS = ("bigru", "lstm", "lstm_seq", "mha", "layer_norm", "dropout", "proj")
 
 CHECKPOINT_MAGIC = b"BGID"
 CHECKPOINT_VERSION = 1
@@ -56,6 +62,261 @@ class CheckpointChecksumError(CheckpointError):
 
 
 # ---------------------------------------------------------------------------
+# block kinds
+# ---------------------------------------------------------------------------
+
+def _tensors(prefix: str, obj) -> dict[str, np.ndarray]:
+    """A *Params dataclass as flat-dict entries named `prefix.field`."""
+    return {f"{prefix}.{suffix}": arr for suffix, arr in obj.tensors()}
+
+
+class _Kind:
+    """Everything about one block kind. `forward(node, params, h, train, rng,
+    spec)` returns (output, cache); `backward(node, params, cache, d, grads)`
+    adds the parameter gradients to `grads` and returns the input gradient.
+    The default backward hands the kind's parameter view to its `grad(p,
+    cache, d)`. Layer functions are looked up on the `layers` module at call
+    time, so a wrapper installed on that module sees every call."""
+
+    display = ""
+    spec_fields: tuple[str, ...] = ()  # the BlockSpec fields that describe it
+    needs_seq = False                  # requires a (b, T, d) input
+    params_cls = None                  # the layers.*Params dataclass of its weights
+
+    def check(self, blk: BlockSpec, name: str, spec: VariantSpec) -> None:
+        pass
+
+    def out(self, blk: BlockSpec, width: int, is_seq: bool) -> tuple[int, bool]:
+        """Output width and whether the output is still a sequence."""
+        return width, is_seq
+
+    def param_specs(self, node) -> list[tuple[str, tuple[int, ...]]]:
+        """(suffix, shape) pairs in serialization order."""
+        return []
+
+    def init(self, node, rng: RngStream) -> dict[str, np.ndarray]:
+        """Initialized tensors by full name, drawn from `rng` in manifest order."""
+        return {}
+
+    def unit(self, node) -> str:
+        """The inspect table's unit column: the block's field values."""
+        vals = tuple(getattr(node.block, f) for f in self.spec_fields)
+        return str(vals[0] if len(vals) == 1 else vals) if vals else "-"
+
+    def view(self, params: dict, prefix: str):
+        """The kind's *Params dataclass over the flat-dict entries under `prefix`."""
+        return self.params_cls(**{f.name: params[f"{prefix}.{f.name}"]
+                                  for f in fields(self.params_cls)})
+
+    def backward(self, node, params, cache, d, grads):
+        d, g = self.grad(self.view(params, node.name), cache, d)
+        grads.update(_tensors(node.name, g))
+        return d
+
+
+class _Units(_Kind):
+    """Sequence blocks sized by `units`: the recurrent ones and the projection.
+    The output is `width_per_unit * units` wide and a sequence if `seq_out`."""
+
+    spec_fields = ("units",)
+    needs_seq = True
+    width_per_unit = 1
+    seq_out = True
+
+    def check(self, blk, name, spec):
+        if blk.units < 1:
+            raise ConstructionError(f"{name}: units must be positive, got {blk.units}")
+
+    def out(self, blk, width, is_seq):
+        return self.width_per_unit * blk.units, self.seq_out
+
+
+class _BiGru(_Units):
+    display = "BiGRU"
+    params_cls = GruParams
+    width_per_unit = 2
+
+    def param_specs(self, node):
+        w, n = node.in_width, node.block.units
+        per_dir = [("W_in", (w, 3 * n)), ("W_rec", (n, 3 * n)),
+                   ("b_in", (3 * n,)), ("b_rec", (3 * n,))]
+        return [(f"{d}.{s}", shp) for d in ("fwd", "bwd") for s, shp in per_dir]
+
+    def init(self, node, rng):
+        fwd = GruParams.init(rng, node.in_width, node.block.units)
+        bwd = GruParams.init(rng, node.in_width, node.block.units)
+        return {**_tensors(f"{node.name}.fwd", fwd), **_tensors(f"{node.name}.bwd", bwd)}
+
+    def forward(self, node, params, h, train, rng, spec):
+        return layers.bigru_forward(self.view(params, f"{node.name}.fwd"),
+                                    self.view(params, f"{node.name}.bwd"), h, train=train)
+
+    def backward(self, node, params, cache, d, grads):
+        d, g_fwd, g_bwd = layers.bigru_backward(self.view(params, f"{node.name}.fwd"),
+                                                self.view(params, f"{node.name}.bwd"), cache, d)
+        grads.update(_tensors(f"{node.name}.fwd", g_fwd))
+        grads.update(_tensors(f"{node.name}.bwd", g_bwd))
+        return d
+
+
+class _Lstm(_Units):
+    """LSTM over the sequence, keeping only the last hidden state."""
+
+    display = "LSTM"
+    params_cls = LstmParams
+    seq_out = False
+
+    def param_specs(self, node):
+        w, n = node.in_width, node.block.units
+        return [("W_in", (w, 4 * n)), ("W_rec", (n, 4 * n)), ("b", (4 * n,))]
+
+    def init(self, node, rng):
+        return _tensors(node.name, LstmParams.init(rng, node.in_width, node.block.units))
+
+    def forward(self, node, params, h, train, rng, spec):
+        return layers.lstm_last_forward(self.view(params, node.name), h, train=train)
+
+    def grad(self, p, cache, d):
+        return layers.lstm_last_backward(p, cache, d)
+
+
+class _LstmSeq(_Lstm):
+    """LSTM keeping every step's hidden state."""
+
+    display = "LSTM(seq)"
+    seq_out = True
+
+    def forward(self, node, params, h, train, rng, spec):
+        return layers.lstm_sequence_forward(self.view(params, node.name), h, train=train)
+
+    def grad(self, p, cache, d):
+        return layers.lstm_sequence_backward(p, cache, d)
+
+
+class _Mha(_Kind):
+    display = "MHA"
+    spec_fields = ("heads", "key_dim")
+    needs_seq = True
+    params_cls = MhaParams
+
+    def check(self, blk, name, spec):
+        if blk.heads < 1 or blk.key_dim < 1:
+            raise ConstructionError(f"{name}: heads and key_dim must be positive")
+
+    def param_specs(self, node):
+        w, hd = node.in_width, node.block.heads * node.block.key_dim
+        return [("Wq", (w, hd)), ("bq", (hd,)), ("Wk", (w, hd)), ("bk", (hd,)),
+                ("Wv", (w, hd)), ("bv", (hd,)), ("Wo", (hd, w)), ("bo", (w,))]
+
+    def init(self, node, rng):
+        return _tensors(node.name, MhaParams.init(rng, node.in_width, node.block.heads,
+                                                  node.block.key_dim))
+
+    def forward(self, node, params, h, train, rng, spec):
+        return layers.mha_self_forward(self.view(params, node.name), h,
+                                       node.block.heads, node.block.key_dim, train=train)
+
+    def grad(self, p, cache, d):
+        return layers.mha_self_backward(p, cache, d)
+
+
+class _LayerNorm(_Kind):
+    display = "LayerNorm"
+    params_cls = LayerNormParams
+
+    def check(self, blk, name, spec):
+        if not spec.ln_eps > 0:
+            raise ConstructionError(f"{name}: ln_eps must be positive, got {spec.ln_eps}")
+
+    def param_specs(self, node):
+        return [("gamma", (node.in_width,)), ("beta", (node.in_width,))]
+
+    def init(self, node, rng):
+        return _tensors(node.name, LayerNormParams.init(node.in_width))
+
+    def forward(self, node, params, h, train, rng, spec):
+        return layers.layer_norm_forward(self.view(params, node.name), h, eps=spec.ln_eps)
+
+    def grad(self, p, cache, d):
+        return layers.layer_norm_backward(p, cache, d)
+
+
+class _Dropout(_Kind):
+    display = "Dropout"
+    spec_fields = ("rate",)
+
+    def check(self, blk, name, spec):
+        if not 0.0 <= blk.rate < 1.0:
+            raise ConstructionError(f"{name}: dropout rate must be in [0, 1)")
+
+    def forward(self, node, params, h, train, rng, spec):
+        # the cache is the mask, None in eval
+        return layers.dropout_apply(h, node.block.rate, "train" if train else "eval", rng)
+
+    def backward(self, node, params, mask, d, grads):
+        return layers.dropout_backward(mask, node.block.rate, d)
+
+
+class _Dense(_Kind):
+    """Head layer; `act` is relu for hidden widths, softmax for the output."""
+
+    display = "Dense"
+    params_cls = DenseParams
+
+    def __init__(self, act: str):
+        self.act = act
+
+    def param_specs(self, node):
+        return [("W", (node.in_width, node.out_width)), ("b", (node.out_width,))]
+
+    def init(self, node, rng):
+        return _tensors(node.name, DenseParams.init(rng, node.in_width, node.out_width))
+
+    def forward(self, node, params, h, train, rng, spec):
+        return layers.dense_forward(self.view(params, node.name), h, act=self.act)
+
+    def grad(self, p, cache, d):
+        return layers.dense_backward(p, cache, d)
+
+    def unit(self, node):
+        return str(node.out_width)
+
+
+class _Proj(_Units):
+    """Width-changing linear map applied at every step."""
+
+    display = "Proj"
+    params_cls = DenseParams
+    param_specs = _Dense.param_specs
+    init = _Dense.init
+
+    def forward(self, node, params, h, train, rng, spec):
+        return layers.time_dense_forward(self.view(params, node.name), h)
+
+    def grad(self, p, cache, d):
+        return layers.time_dense_backward(p, cache, d)
+
+
+class _Flatten(_Kind):
+    """Appended to a branch whose tail is still a sequence."""
+
+    display = "Flatten"
+
+    def forward(self, node, params, h, train, rng, spec):
+        return layers.flatten(h), h.shape
+
+    def backward(self, node, params, shape, d, grads):
+        return layers.flatten_backward(shape, d)
+
+
+_BLOCKS = {"bigru": _BiGru(), "lstm": _Lstm(), "lstm_seq": _LstmSeq(), "mha": _Mha(),
+           "layer_norm": _LayerNorm(), "dropout": _Dropout(), "proj": _Proj()}
+_FLATTEN, _HIDDEN, _OUTPUT = _Flatten(), _Dense("relu"), _Dense("softmax")
+
+BLOCK_KINDS = tuple(_BLOCKS)
+
+
+# ---------------------------------------------------------------------------
 # specs
 # ---------------------------------------------------------------------------
 
@@ -71,19 +332,11 @@ class BlockSpec:
     rate: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in BLOCK_KINDS:
+        if self.kind not in _BLOCKS:
             raise ConstructionError(f"unknown block kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind in ("bigru", "lstm", "lstm_seq", "proj"):
-            d["units"] = self.units
-        elif self.kind == "mha":
-            d["heads"] = self.heads
-            d["key_dim"] = self.key_dim
-        elif self.kind == "dropout":
-            d["rate"] = self.rate
-        return d
+        return {"kind": self.kind, **{f: getattr(self, f) for f in _BLOCKS[self.kind].spec_fields}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockSpec":
@@ -212,11 +465,10 @@ def table5_variants(seq_len: int, n_classes: int) -> list[Variant]:
 @dataclass
 class _Node:
     name: str
-    kind: str                   # BLOCK_KINDS plus "flatten"
-    block: BlockSpec | None
+    kind: _Kind
+    block: BlockSpec | None     # None for the flatten and head nodes
     in_width: int
     out_width: int
-    seq_in: bool
     seq_out: bool
 
 
@@ -226,32 +478,17 @@ def _compile_branch(spec: VariantSpec, bi: int, branch: tuple[BlockSpec, ...]) -
     is_seq = True
     for i, blk in enumerate(branch):
         name = f"branch{bi + 1}.{i}_{blk.kind}"
-        if blk.kind in ("bigru", "lstm", "lstm_seq", "mha", "proj") and not is_seq:
+        kind = _BLOCKS[blk.kind]
+        if kind.needs_seq and not is_seq:
             raise ConstructionError(f"{name}: requires a sequence input but the branch "
                                     "already collapsed to a vector")
-        if blk.kind == "bigru":
-            out, seq_out = 2 * blk.units, True
-        elif blk.kind == "lstm_seq":
-            out, seq_out = blk.units, True
-        elif blk.kind == "lstm":
-            out, seq_out = blk.units, False
-        elif blk.kind == "proj":
-            out, seq_out = blk.units, True
-        elif blk.kind == "mha":
-            if blk.heads < 1 or blk.key_dim < 1:
-                raise ConstructionError(f"{name}: heads and key_dim must be positive")
-            out, seq_out = width, is_seq
-        elif blk.kind in ("layer_norm", "dropout"):
-            if blk.kind == "dropout" and not 0.0 <= blk.rate < 1.0:
-                raise ConstructionError(f"{name}: dropout rate must be in [0, 1)")
-            out, seq_out = width, is_seq
-        else:  # pragma: no cover
-            raise ConstructionError(f"{name}: unknown kind")
-        nodes.append(_Node(name, blk.kind, blk, width, out, is_seq, seq_out))
+        kind.check(blk, name, spec)
+        out, seq_out = kind.out(blk, width, is_seq)
+        nodes.append(_Node(name, kind, blk, width, out, seq_out))
         width, is_seq = out, seq_out
     if is_seq:
-        nodes.append(_Node(f"branch{bi + 1}.{len(branch)}_flatten", "flatten", None,
-                           width, spec.seq_len * width, True, False))
+        nodes.append(_Node(f"branch{bi + 1}.{len(branch)}_flatten", _FLATTEN, None,
+                           width, spec.seq_len * width, False))
     return nodes
 
 
@@ -263,49 +500,19 @@ def _compile(spec: VariantSpec):
     widths = [br[-1].out_width for br in branches]
     head = []
     w = sum(widths)
-    for i, hw in enumerate(spec.head):
-        head.append(_Node(f"head.{i}_dense", "dense", None, w, hw, False, False))
+    for i, hw in enumerate((*spec.head, spec.n_classes)):
+        kind = _OUTPUT if i == len(spec.head) else _HIDDEN
+        head.append(_Node(f"head.{i}_dense", kind, None, w, hw, False))
         w = hw
-    head.append(_Node(f"head.{len(spec.head)}_dense", "dense", None, w, spec.n_classes,
-                      False, False))
     return branches, widths, head
-
-
-def _node_param_specs(node: _Node):
-    """(suffix, shape) pairs for a node, in serialization order."""
-    w, out = node.in_width, node.out_width
-    if node.kind == "bigru":
-        n = node.block.units
-        per_dir = [("W_in", (w, 3 * n)), ("W_rec", (n, 3 * n)),
-                   ("b_in", (3 * n,)), ("b_rec", (3 * n,))]
-        return [(f"fwd.{s}", shp) for s, shp in per_dir] + \
-               [(f"bwd.{s}", shp) for s, shp in per_dir]
-    if node.kind in ("lstm", "lstm_seq"):
-        n = node.block.units
-        return [("W_in", (w, 4 * n)), ("W_rec", (n, 4 * n)), ("b", (4 * n,))]
-    if node.kind == "mha":
-        hd = node.block.heads * node.block.key_dim
-        return [("Wq", (w, hd)), ("bq", (hd,)), ("Wk", (w, hd)), ("bk", (hd,)),
-                ("Wv", (w, hd)), ("bv", (hd,)), ("Wo", (hd, w)), ("bo", (w,))]
-    if node.kind == "layer_norm":
-        return [("gamma", (w,)), ("beta", (w,))]
-    if node.kind in ("proj", "dense"):
-        return [("W", (w, out)), ("b", (out,))]
-    return []
 
 
 def param_manifest(spec: VariantSpec) -> list[tuple[str, tuple[int, ...]]]:
     """Deterministic (name, shape) list: branches in order, then the head."""
     branches, _, head = _compile(spec)
-    out = []
-    for nodes in branches:
-        for node in nodes:
-            for suffix, shape in _node_param_specs(node):
-                out.append((f"{node.name}.{suffix}", shape))
-    for node in head:
-        for suffix, shape in _node_param_specs(node):
-            out.append((f"{node.name}.{suffix}", shape))
-    return out
+    return [(f"{node.name}.{suffix}", shape)
+            for node in itertools.chain(*branches, head)
+            for suffix, shape in node.kind.param_specs(node)]
 
 
 def param_total(spec: VariantSpec) -> int:
@@ -319,58 +526,9 @@ def build(spec: VariantSpec, rng: RngStream) -> dict[str, np.ndarray]:
     zero; fully determined by the rng stream."""
     branches, _, head = _compile(spec)
     params: dict[str, np.ndarray] = {}
-
-    def put(prefix, obj):
-        for suffix, arr in obj.tensors():
-            params[f"{prefix}.{suffix}"] = arr
-
-    for nodes in branches:
-        for node in nodes:
-            if node.kind == "bigru":
-                put(f"{node.name}.fwd", GruParams.init(rng, node.in_width, node.block.units))
-                put(f"{node.name}.bwd", GruParams.init(rng, node.in_width, node.block.units))
-            elif node.kind in ("lstm", "lstm_seq"):
-                put(node.name, LstmParams.init(rng, node.in_width, node.block.units))
-            elif node.kind == "mha":
-                put(node.name, MhaParams.init(rng, node.in_width, node.block.heads,
-                                              node.block.key_dim))
-            elif node.kind == "layer_norm":
-                put(node.name, LayerNormParams.init(node.in_width))
-            elif node.kind == "proj":
-                put(node.name, DenseParams.init(rng, node.in_width, node.out_width))
-    for node in head:
-        put(node.name, DenseParams.init(rng, node.in_width, node.out_width))
+    for node in itertools.chain(*branches, head):
+        params.update(node.kind.init(node, rng))
     return params
-
-
-# typed views over the flat parameter dict -----------------------------------
-
-def _gru_view(params, prefix):
-    return GruParams(W_in=params[f"{prefix}.W_in"], W_rec=params[f"{prefix}.W_rec"],
-                     b_in=params[f"{prefix}.b_in"], b_rec=params[f"{prefix}.b_rec"])
-
-
-def _lstm_view(params, prefix):
-    return LstmParams(W_in=params[f"{prefix}.W_in"], W_rec=params[f"{prefix}.W_rec"],
-                      b=params[f"{prefix}.b"])
-
-
-def _mha_view(params, prefix):
-    return MhaParams(**{s: params[f"{prefix}.{s}"]
-                        for s in ("Wq", "bq", "Wk", "bk", "Wv", "bv", "Wo", "bo")})
-
-
-def _ln_view(params, prefix):
-    return LayerNormParams(gamma=params[f"{prefix}.gamma"], beta=params[f"{prefix}.beta"])
-
-
-def _dense_view(params, prefix):
-    return DenseParams(W=params[f"{prefix}.W"], b=params[f"{prefix}.b"])
-
-
-def _put_grads(grads, prefix, obj):
-    for suffix, arr in obj.tensors():
-        grads[f"{prefix}.{suffix}"] = arr
 
 
 # ---------------------------------------------------------------------------
@@ -387,66 +545,28 @@ def forward(params: dict, spec: VariantSpec, x: np.ndarray, mode: str = "eval",
     if mode not in ("train", "eval"):
         raise ValueError(f"forward: unknown mode {mode!r}")
     train = mode == "train"
-    branches, widths, head = _compile(spec)
+    branches, _, head = _compile(spec)
     if trace is not None:
         trace.append(("input", x.shape))
 
-    branch_caches = []
-    branch_outs = []
-    for nodes in branches:
-        h = x
+    def run(nodes, h):
         caches = []
         for node in nodes:
-            if node.kind == "bigru":
-                h, c = layers.bigru_forward(_gru_view(params, f"{node.name}.fwd"),
-                                            _gru_view(params, f"{node.name}.bwd"), h,
-                                            train=train)
-            elif node.kind == "lstm_seq":
-                h, c = layers.lstm_sequence_forward(_lstm_view(params, node.name), h,
-                                                    train=train)
-            elif node.kind == "lstm":
-                h, c = layers.lstm_last_forward(_lstm_view(params, node.name), h,
-                                                train=train)
-            elif node.kind == "mha":
-                h, c = layers.mha_self_forward(_mha_view(params, node.name), h,
-                                               node.block.heads, node.block.key_dim,
-                                               train=train)
-            elif node.kind == "layer_norm":
-                h, c = layers.layer_norm_forward(_ln_view(params, node.name), h,
-                                                 eps=spec.ln_eps)
-            elif node.kind == "proj":
-                h, c = layers.time_dense_forward(_dense_view(params, node.name), h)
-            elif node.kind == "dropout":
-                h, mask = layers.dropout_apply(h, node.block.rate,
-                                               "train" if train else "eval", rng)
-                c = (mask, node.block.rate)
-            elif node.kind == "flatten":
-                c = h.shape
-                h = layers.flatten(h)
+            h, c = node.kind.forward(node, params, h, train, rng, spec)
             if train:
                 caches.append(c)
             if trace is not None:
                 trace.append((node.name, h.shape))
-        branch_outs.append(h)
-        branch_caches.append(caches)
+        return h, caches
 
+    branch_outs, branch_caches = zip(*(run(nodes, x) for nodes in branches))
     h = branch_outs[0]
     for extra in branch_outs[1:]:
         h = layers.concat_last(h, extra)
     if trace is not None and len(branch_outs) > 1:
         trace.append(("concat", h.shape))
-
-    head_caches = []
-    for i, node in enumerate(head):
-        act = "softmax" if i == len(head) - 1 else "relu"
-        h, c = layers.dense_forward(_dense_view(params, node.name), h, act=act)
-        if train:
-            head_caches.append(c)
-        if trace is not None:
-            trace.append((node.name, h.shape))
-
-    caches = {"branches": branch_caches, "widths": widths, "head": head_caches} if train else None
-    return h, caches
+    h, head_caches = run(head, h)
+    return h, ({"branches": branch_caches, "head": head_caches} if train else None)
 
 
 def predict(params: dict, spec: VariantSpec, x: np.ndarray) -> np.ndarray:
@@ -461,45 +581,15 @@ def backward(params: dict, spec: VariantSpec, caches: dict, dprobs: np.ndarray):
     branches, widths, head = _compile(spec)
     grads: dict[str, np.ndarray] = {}
 
-    dh = as_f64(dprobs)
-    for i in range(len(head) - 1, -1, -1):
-        node = head[i]
-        dh, g = layers.dense_backward(_dense_view(params, node.name), caches["head"][i], dh)
-        _put_grads(grads, node.name, g)
+    def run(nodes, node_caches, d):
+        for node, c in zip(reversed(nodes), reversed(node_caches)):
+            d = node.kind.backward(node, params, c, d, grads)
+        return d
 
+    dh = run(head, caches["head"], as_f64(dprobs))
     offsets = np.cumsum([0] + widths)
     for bi in range(len(branches) - 1, -1, -1):
-        nodes = branches[bi]
-        d = dh[..., offsets[bi]:offsets[bi + 1]]
-        for i in range(len(nodes) - 1, -1, -1):
-            node = nodes[i]
-            c = caches["branches"][bi][i]
-            if node.kind == "bigru":
-                d, g_fwd, g_bwd = layers.bigru_backward(
-                    _gru_view(params, f"{node.name}.fwd"),
-                    _gru_view(params, f"{node.name}.bwd"), c, d)
-                _put_grads(grads, f"{node.name}.fwd", g_fwd)
-                _put_grads(grads, f"{node.name}.bwd", g_bwd)
-            elif node.kind == "lstm_seq":
-                d, g = layers.lstm_sequence_backward(_lstm_view(params, node.name), c, d)
-                _put_grads(grads, node.name, g)
-            elif node.kind == "lstm":
-                d, g = layers.lstm_last_backward(_lstm_view(params, node.name), c, d)
-                _put_grads(grads, node.name, g)
-            elif node.kind == "mha":
-                d, g = layers.mha_self_backward(_mha_view(params, node.name), c, d)
-                _put_grads(grads, node.name, g)
-            elif node.kind == "layer_norm":
-                d, g = layers.layer_norm_backward(_ln_view(params, node.name), c, d)
-                _put_grads(grads, node.name, g)
-            elif node.kind == "proj":
-                d, g = layers.time_dense_backward(_dense_view(params, node.name), c, d)
-                _put_grads(grads, node.name, g)
-            elif node.kind == "dropout":
-                mask, rate = c
-                d = layers.dropout_backward(mask, rate, d)
-            elif node.kind == "flatten":
-                d = layers.flatten_backward(c, d)
+        run(branches[bi], caches["branches"][bi], dh[..., offsets[bi]:offsets[bi + 1]])
     return grads
 
 
@@ -518,28 +608,19 @@ def inspect_table(spec: VariantSpec) -> dict:
     rows = [{"layer": "Input", "unit": "-",
              "output_shape": _shape_str(True, spec.seq_len, 1),
              "params": 0, "connected_to": "-"}]
+
+    def add(node, prev):
+        rows.append({"layer": node.kind.display, "unit": node.kind.unit(node),
+                     "output_shape": _shape_str(node.seq_out, spec.seq_len, node.out_width),
+                     "params": sum(int(np.prod(s)) for _, s in node.kind.param_specs(node)),
+                     "connected_to": prev, "name": node.name})
+        return node.kind.display
+
     tails = []
     for nodes in branches:
         prev = "Input"
         for node in nodes:
-            count = sum(int(np.prod(s)) for _, s in _node_param_specs(node))
-            if node.kind == "bigru":
-                unit = str(node.block.units)
-            elif node.kind in ("lstm", "lstm_seq", "proj"):
-                unit = str(node.block.units)
-            elif node.kind == "mha":
-                unit = f"({node.block.heads}, {node.block.key_dim})"
-            elif node.kind == "dropout":
-                unit = str(node.block.rate)
-            else:
-                unit = "-"
-            display = {"bigru": "BiGRU", "lstm": "LSTM", "lstm_seq": "LSTM(seq)",
-                       "mha": "MHA", "layer_norm": "LayerNorm", "dropout": "Dropout",
-                       "proj": "Proj", "flatten": "Flatten"}[node.kind]
-            rows.append({"layer": display, "unit": unit,
-                         "output_shape": _shape_str(node.seq_out, spec.seq_len, node.out_width),
-                         "params": count, "connected_to": prev, "name": node.name})
-            prev = display
+            prev = add(node, prev)
         tails.append(prev)
     if len(branches) > 1:
         rows.append({"layer": "Concatenate", "unit": "-",
@@ -549,11 +630,7 @@ def inspect_table(spec: VariantSpec) -> dict:
     else:
         prev = tails[0]
     for node in head:
-        count = sum(int(np.prod(s)) for _, s in _node_param_specs(node))
-        rows.append({"layer": "Dense", "unit": str(node.out_width),
-                     "output_shape": _shape_str(False, spec.seq_len, node.out_width),
-                     "params": count, "connected_to": prev, "name": node.name})
-        prev = "Dense"
+        prev = add(node, prev)
     return {"rows": rows, "total_params": param_total(spec)}
 
 

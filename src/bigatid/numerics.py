@@ -1,12 +1,12 @@
-"""Dense float64 tensor primitives: checked matmul, activations, softmax,
-layer normalization, a deterministic seeded RNG stream, and the central
+"""Float64 primitives shared by the layers and the tests: the shape and
+numeric error types, float64 coercion, an overflow-safe sigmoid, a row
+softmax, a deterministic seeded RNG stream, and the central
 finite-difference gradient oracle used to validate every backward pass."""
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_LN_EPS = 1e-3
 DEFAULT_FD_STEP = 1e-5
 
 
@@ -20,19 +20,6 @@ class NumericError(ArithmeticError):
 
 def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check.
-
-    a (..., m, k), b (k, n) -> (..., m, n). Summation is delegated to BLAS,
-    which is run-to-run deterministic for fixed inputs and thread count.
-    """
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim < 1 or b.ndim < 1 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    return a @ b
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -51,26 +38,6 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(as_f64(x), 0.0)
-
-
-_ACTIVATIONS = {
-    "sigmoid": sigmoid,
-    "tanh": np.tanh,
-    "relu": relu,
-}
-
-
-def activation(x: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise nonlinearity, same shape out. kind in {sigmoid, tanh, relu}."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(x)
-
-
 def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Last-axis softmax with max subtraction; each row sums to 1. Pass `out`
     (which may be `x` itself) to write the result there."""
@@ -79,21 +46,6 @@ def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
-
-
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float = DEFAULT_LN_EPS) -> np.ndarray:
-    """Standardize the last axis to mean 0 / variance 1, then scale and shift.
-
-    x (..., d), gamma (d,), beta (d,). Variance is the biased estimate.
-    """
-    x = as_f64(x)
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
-    return xhat * as_f64(gamma) + as_f64(beta)
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:

@@ -8,18 +8,6 @@ from bigatid import layers as L
 from bigatid.numerics import RngStream, ShapeError, finite_diff_grad, grad_mismatch, sigmoid
 
 
-class TestParamCounts:
-    def test_published_component_sizes(self):
-        rng = RngStream(0)
-        assert L.GruParams.init(rng, 1, 64).count() == 12_864
-        assert L.LstmParams.init(rng, 1, 32).count() == 4_352
-        assert L.MhaParams.init(rng, 128, 8, 64).count() == 263_808
-        assert L.LayerNormParams.init(128).count() == 256
-
-    def test_dense_flatten_width(self):
-        assert L.DenseParams.init(RngStream(0), 10656, 64).count() == 682_048
-
-
 class TestDense:
     def test_identity_kernel(self):
         p = L.DenseParams(W=np.eye(4), b=np.zeros(4))
@@ -248,11 +236,6 @@ class TestLstm:
         p = L.LstmParams(W_in=np.zeros((1, 16)), W_rec=np.zeros((4, 16)), b=np.zeros(16))
         y, _ = L.lstm_last_forward(p, RngStream(18).normal(size=(2, 5, 1)))
         assert np.abs(y).max() == 0.0
-
-    def test_forget_bias_configurable(self):
-        p = L.LstmParams.init(RngStream(19), 1, 4, forget_bias=1.0)
-        assert np.array_equal(p.b[4:8], np.ones(4))
-        assert np.abs(p.b[:4]).max() == 0.0
 
     def test_last_equals_sequence_tail(self):
         rng = RngStream(20)

@@ -1,7 +1,12 @@
+import collections
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
 from conftest import shrink_variant, tiny_bigat_spec
+from bigatid import layers as L
 from bigatid.model import (
     BlockSpec,
     CheckpointChecksumError,
@@ -213,6 +218,48 @@ class TestConstructionErrors:
             bigat_spec(0, 6)
         with pytest.raises(ConstructionError):
             bigat_spec(83, 1)
+
+    @pytest.mark.parametrize("kind", ["bigru", "lstm", "lstm_seq", "proj"])
+    def test_units_must_be_positive(self, kind):
+        spec = VariantSpec(seq_len=5, n_classes=3, branches=((BlockSpec(kind, units=0),),))
+        with pytest.raises(ConstructionError, match=f"branch1.0_{kind}: units"):
+            build(spec, RngStream(0))
+
+    def test_ln_eps_must_be_positive(self):
+        # a zero eps turns a constant input into 0/0 in the layer norm
+        for eps in (0.0, -1e-3, float("nan")):
+            spec = dataclasses.replace(tiny_bigat_spec(), ln_eps=eps)
+            with pytest.raises(ConstructionError, match="branch1.1_layer_norm: ln_eps"):
+                predict(build(spec, RngStream(0)), spec, np.full((2, 6, 1), 0.5))
+
+
+class TestLayerCalls:
+    def test_model_calls_every_layer_through_the_module(self, monkeypatch):
+        # the benchmark's per-layer breakdown wraps the functions of `layers`
+        # in place; a layer function the model reached by a stored reference
+        # would drop out of it
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        public = [name for name, fn in vars(L).items()
+                  if isinstance(fn, types.FunctionType) and not name.startswith("_")
+                  and fn.__module__ == L.__name__]
+        for name in public:
+            monkeypatch.setattr(L, name, counting(name, getattr(L, name)))
+        variants = {v.id: v.spec for v in table5_variants(8, 3)}
+        rng = RngStream(16)
+        for i, spec in enumerate((tiny_bigat_spec(dropout=0.5), shrink_variant(variants[5]),
+                                  shrink_variant(variants[2]))):
+            params = build(spec, rng.spawn(i, 0))
+            x = rng.spawn(i, 1).normal(size=(2, spec.seq_len, 1))
+            probs, caches = forward(params, spec, x, mode="train", rng=rng.spawn(i, 2))
+            backward(params, spec, caches, np.ones_like(probs))
+        assert sorted(calls) == sorted(public)
 
 
 class TestBuildDeterminism:

@@ -1,63 +1,13 @@
 import numpy as np
 import pytest
 
-from bigatid.numerics import (
-    NumericError,
-    RngStream,
-    ShapeError,
-    activation,
-    finite_diff_grad,
-    layer_norm,
-    matmul,
-    sigmoid,
-    softmax_rows,
-)
-
-
-def matmul_oracle(a, b):
-    """Triple-loop reference product, independent of the BLAS path."""
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity_left_and_right_exact(self):
-        rng = RngStream(0)
-        m = rng.normal(size=(3, 3))
-        assert np.array_equal(matmul(np.eye(3), m), m)
-        assert np.array_equal(matmul(m, np.eye(3)), m)
-
-    def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        assert np.array_equal(out, np.array([[3.0], [7.0]]))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = RngStream(1)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        assert np.abs(matmul(a, b) - matmul_oracle(a, b)).max() < 1e-12
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
+from bigatid.layers import LayerNormParams, layer_norm_forward
+from bigatid.numerics import NumericError, RngStream, finite_diff_grad, sigmoid, softmax_rows
 
 
 class TestActivations:
-    def test_relu(self):
-        out = activation(np.array([-1.5, 2.0]), "relu")
-        assert out[0] == 0.0 and out[1] == 2.0
-
     def test_symmetry_points(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
-        assert activation(np.array([0.0]), "tanh")[0] == 0.0
 
     def test_sigmoid_complement_identity(self):
         x = RngStream(2).normal(size=100) * 5
@@ -79,10 +29,6 @@ class TestActivations:
         expected = sigmoid(x)
         assert sigmoid(x, out=x) is x
         assert np.array_equal(x, expected)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown activation"):
-            activation(np.zeros(3), "gelu")
 
 
 class TestSoftmax:
@@ -113,7 +59,14 @@ class TestSoftmax:
             assert np.abs(sums - 1.0).max() < 1e-12
 
 
+def layer_norm(x, gamma, beta, eps=1e-3):
+    y, _ = layer_norm_forward(LayerNormParams(gamma=gamma, beta=beta), x, eps=eps)
+    return y
+
+
 class TestLayerNorm:
+    """Values of `layers.layer_norm_forward`; test_layers checks its gradient."""
+
     def test_constant_row_zeroed_by_eps(self):
         out = layer_norm(np.full((2, 5), 3.7), np.ones(5), np.zeros(5))
         assert np.abs(out).max() < 1e-12
@@ -139,10 +92,6 @@ class TestLayerNorm:
         out = layer_norm(x, np.ones(16), np.zeros(16), eps=1e-12)
         assert np.abs(out.mean(axis=-1)).max() < 1e-12
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-9
-
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            layer_norm(np.ones(3), np.ones(3), np.zeros(3), eps=0.0)
 
 
 class TestFiniteDiff:
