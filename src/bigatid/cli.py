@@ -118,7 +118,6 @@ class RunConfig:
             focal_gamma=self.focal_gamma,
             focal_alpha=self.focal_alpha,
             seed=self.seed if seed is None else seed,
-            balancing=self.balancing,
             grad_clip=self.grad_clip,
         )
 
@@ -223,15 +222,16 @@ def resolve_variant(cfg: RunConfig, seq_len: int, n_classes: int) -> MOD.Variant
     return v
 
 
-def evaluate_model(params, spec, test_ds: D.Dataset, cfg: RunConfig,
-                   bench: bool = True) -> M.EvalReport:
-    probs = T.batched_probs(params, spec, test_ds.X)
+def evaluate_model(params, spec, test_ds: D.Dataset, cfg: RunConfig) -> M.EvalReport:
+    """The report of one eval-mode pass over `test_ds`, timed as it runs;
+    `bigatid bench` is the repeated measurement."""
+    t0 = time.perf_counter()
+    probs = T.batched_probs(params, spec, test_ds.X, T.EVAL_BATCH)
+    sec = (time.perf_counter() - t0) / max(len(test_ds), 1)
+    stats = M.BenchStats(sec, sec, sec, batch_size=T.EVAL_BATCH, repeats=1,
+                         n_instances=len(test_ds))
     loss_fn = T.loss_fn_for(cfg.train_config(), spec.n_classes)
     loss, _ = loss_fn(probs, D.one_hot(test_ds.y, spec.n_classes))
-    stats = None
-    if bench:
-        stats = M.inference_bench(params, spec, test_ds.X, warmup=cfg.bench_warmup,
-                                  repeats=cfg.bench_repeats)
     return M.evaluate_probs(probs, test_ds.y, list(test_ds.codec.classes), loss, bench=stats)
 
 
@@ -310,17 +310,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint(path):
-    params, spec, metadata = MOD.load(path)
-    codec = D.LabelCodec.from_dict(metadata["codec"])
-    scaler = (None if metadata.get("scaler") is None
-              else D.ScalerParams.from_dict(metadata["scaler"]))
-    return params, spec, metadata, codec, scaler
-
-
-def _eval_dataset_for_checkpoint(args, spec, codec, scaler) -> D.Dataset:
-    """Build an evaluation dataset matching a checkpoint's preprocessing."""
+def _checkpoint_run(args):
+    """The preamble of the checkpoint commands: the merged config, its output
+    directory, the checkpoint, and the configured dataset prepared the way
+    the checkpoint's training data was (label codec, feature count, scaler).
+    Returns (cfg, out_dir, params, spec, ds)."""
     cfg = merge_config(args)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with _Stage("checkpoint"):
+        params, spec, metadata = MOD.load(args.checkpoint)
+        codec = D.LabelCodec.from_dict(metadata["codec"])
+        scaler = (None if metadata.get("scaler") is None
+                  else D.ScalerParams.from_dict(metadata["scaler"]))
     ds = load_source_dataset(cfg, RngStream(cfg.seed), codec=codec)
     # a CSV is encoded with `codec`; only synthetic classes can differ
     if tuple(ds.codec.classes) != tuple(codec.classes):
@@ -330,16 +332,11 @@ def _eval_dataset_for_checkpoint(args, spec, codec, scaler) -> D.Dataset:
                           f"expects {spec.seq_len}")
     if scaler is not None:
         ds = _scaled(ds, scaler)
-    return ds
+    return cfg, out_dir, params, spec, ds
 
 
 def cmd_evaluate(args) -> int:
-    cfg = merge_config(args)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _Stage("checkpoint"):
-        params, spec, metadata, codec, scaler = _load_checkpoint(args.checkpoint)
-    ds = _eval_dataset_for_checkpoint(args, spec, codec, scaler)
+    cfg, out_dir, params, spec, ds = _checkpoint_run(args)
     with _Stage("evaluate"):
         report = evaluate_model(params, spec, ds, cfg)
     payload = {"config": cfg.echo(), "checkpoint": str(args.checkpoint),
@@ -379,7 +376,7 @@ def cmd_ablate(args) -> int:
                 seed_v = derive_seed(cfg.seed, variant.id, si)
                 params, _hist = T.train(variant.spec, tr, test_ds,
                                         cfg.train_config(seed=seed_v))
-                report = evaluate_model(params, variant.spec, test_ds, cfg, bench=False)
+                report = evaluate_model(params, variant.spec, test_ds, cfg)
                 row.update(accuracy=report.accuracy, loss=report.loss,
                            fpr=report.fpr_macro)
             except Exception as exc:  # isolate the failing row, keep sweeping
@@ -481,12 +478,7 @@ def cmd_loao(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    cfg = merge_config(args)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _Stage("checkpoint"):
-        params, spec, metadata, codec, scaler = _load_checkpoint(args.checkpoint)
-    ds = _eval_dataset_for_checkpoint(args, spec, codec, scaler)
+    cfg, out_dir, params, spec, ds = _checkpoint_run(args)
     settings = E.ShapleySettings(n_instances=args.instances,
                                  n_permutations=args.permutations)
     rng = RngStream(cfg.seed).spawn(7)
@@ -503,12 +495,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = merge_config(args)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _Stage("checkpoint"):
-        params, spec, metadata, codec, scaler = _load_checkpoint(args.checkpoint)
-    ds = _eval_dataset_for_checkpoint(args, spec, codec, scaler)
+    cfg, out_dir, params, spec, ds = _checkpoint_run(args)
     with _Stage("bench"):
         stats = M.inference_bench(params, spec, ds.X, warmup=cfg.bench_warmup,
                                   repeats=cfg.bench_repeats, batch_size=args.batch)
@@ -535,7 +522,7 @@ def cmd_inspect(args) -> int:
         raise ConfigError("pass exactly one of --checkpoint or --variant")
     if args.checkpoint:
         with _Stage("checkpoint"):
-            _params, spec, metadata, _codec, _scaler = _load_checkpoint(args.checkpoint)
+            _params, spec, metadata = MOD.load(args.checkpoint)
         label = metadata.get("variant_label", "?")
     else:
         variants = {v.id: v for v in MOD.table5_variants(args.seq_len, args.classes)}
@@ -582,8 +569,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--loss", choices=["cce", "focal"])
     p.add_argument("--focal-gamma", dest="focal_gamma", type=float)
     p.add_argument("--grad-clip", dest="grad_clip", type=float)
-    p.add_argument("--bench-warmup", dest="bench_warmup", type=int)
-    p.add_argument("--bench-repeats", dest="bench_repeats", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -602,8 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     _add_data_flags(p)
-    p.add_argument("--bench-warmup", dest="bench_warmup", type=int)
-    p.add_argument("--bench-repeats", dest="bench_repeats", type=int)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="train/evaluate all 12 variants, both balancings")

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .model import VariantSpec, forward
+from .model import VariantSpec
 from .numerics import RngStream
+from .training import batched_probs
 
 EXACT_FEATURE_CAP = 12
 
@@ -146,12 +147,7 @@ def model_value_fn(params: dict, spec: VariantSpec, batch_size: int = 2048):
     eval-mode class probabilities."""
     def f(rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
-        outs = []
-        for start in range(0, rows.shape[0], batch_size):
-            chunk = rows[start:start + batch_size]
-            probs, _ = forward(params, spec, chunk.reshape(chunk.shape[0], -1, 1))
-            outs.append(probs)
-        return np.concatenate(outs)
+        return batched_probs(params, spec, rows.reshape(rows.shape[0], -1, 1), batch_size)
     return f
 
 
@@ -163,19 +159,6 @@ def background_mean_of(background) -> np.ndarray:
     if feats.size == 0:
         raise ValueError("shapley: background sample is empty")
     return feats.mean(axis=0)
-
-
-def shapley_estimate(params: dict, spec: VariantSpec, background, x,
-                     class_index: int, n_permutations: int, rng: RngStream,
-                     batch_size: int = 2048) -> np.ndarray:
-    """Per-feature Shapley values of the predicted probability of one class
-    for a single instance. x is (T,), (T, 1) or a 1-row batch."""
-    bg = background_mean_of(background)
-    f = model_value_fn(params, spec, batch_size=batch_size)
-    values = shapley_permutation(lambda rows: f(rows)[:, class_index],
-                                 np.asarray(x).reshape(-1), bg,
-                                 n_permutations, rng, batch_size=batch_size)
-    return values
 
 
 def attribution_summary(params: dict, spec: VariantSpec, eval_sample: Dataset,

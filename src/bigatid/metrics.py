@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import VariantSpec, forward
+from .model import VariantSpec
+from .training import batched_probs
 
 
 @dataclass
@@ -220,16 +221,12 @@ def inference_bench(params, spec: VariantSpec, x: np.ndarray, warmup: int = 1,
     if n < 1:
         raise ValueError("inference_bench: need at least one instance")
 
-    def run():
-        for start in range(0, n, batch_size):
-            forward(params, spec, x[start:start + batch_size], mode="eval")
-
     for _ in range(warmup):
-        run()
+        batched_probs(params, spec, x, batch_size)
     per_instance = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        run()
+        batched_probs(params, spec, x, batch_size)
         per_instance.append((time.perf_counter() - t0) / n)
     arr = np.array(per_instance)
     return BenchStats(

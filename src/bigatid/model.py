@@ -322,8 +322,9 @@ BLOCK_KINDS = tuple(_BLOCKS)
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """One pipeline block. Only the fields relevant to `kind` are meaningful:
-    units (bigru/lstm/lstm_seq/proj), heads+key_dim (mha), rate (dropout)."""
+    """One pipeline block. Each kind sets only its own fields: units
+    (bigru/lstm/lstm_seq/proj), heads+key_dim (mha), rate (dropout); the
+    others keep their defaults, so the spec survives `to_dict`/`from_dict`."""
 
     kind: str
     units: int = 0
@@ -334,6 +335,15 @@ class BlockSpec:
     def __post_init__(self):
         if self.kind not in _BLOCKS:
             raise ConstructionError(f"unknown block kind {self.kind!r}")
+        used = _BLOCKS[self.kind].spec_fields
+        for f in fields(self)[1:]:  # the fields after `kind`
+            value = getattr(self, f.name)
+            if f.name not in used and value != f.default:
+                raise ConstructionError(f"{self.kind} block does not use {f.name} "
+                                        f"(got {value!r})")
+            if f.name != "rate" and not isinstance(value, (int, np.integer)):
+                raise ConstructionError(f"{self.kind} block: {f.name} must be an "
+                                        f"integer, got {value!r}")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **{f: getattr(self, f) for f in _BLOCKS[self.kind].spec_fields}}
@@ -353,6 +363,14 @@ class VariantSpec:
     branches: tuple[tuple[BlockSpec, ...], ...]
     head: tuple[int, ...] = (64, 32)
     ln_eps: float = 1e-3
+
+    def __post_init__(self):
+        if self.seq_len < 1:
+            raise ConstructionError(f"seq_len must be >= 1, got {self.seq_len}")
+        if self.n_classes < 2:
+            raise ConstructionError(f"n_classes must be >= 2, got {self.n_classes}")
+        if any(w < 1 for w in self.head):
+            raise ConstructionError(f"head widths must be >= 1, got {self.head}")
 
     def to_dict(self) -> dict:
         return {
@@ -387,8 +405,6 @@ def bigat_spec(seq_len: int, n_classes: int, dropout_rate: float = 0.5) -> Varia
     """The canonical dual-branch configuration:
     (BiGRU64 -> LayerNorm -> MHA(8, 64) -> Dropout) || (LSTM32 -> Dropout)
     -> concat -> Dense64 relu -> Dense32 relu -> Dense(n_classes) softmax."""
-    if seq_len < 1 or n_classes < 2:
-        raise ConstructionError("bigat_spec: need seq_len >= 1 and n_classes >= 2")
     return VariantSpec(
         seq_len=seq_len,
         n_classes=n_classes,

@@ -13,9 +13,9 @@ from .model import VariantSpec, backward, build, forward
 from .numerics import RngStream
 
 LOSS_KINDS = ("cce", "focal")
-BALANCING_KINDS = ("none", "ros", "smote")
 
 PROB_FLOOR = 1e-12
+EVAL_BATCH = 512
 
 
 class TrainingDivergedError(RuntimeError):
@@ -31,7 +31,6 @@ class TrainConfig:
     focal_gamma: float = 2.0
     focal_alpha: list[float] | None = None
     seed: int = 0
-    balancing: str = "none"
     grad_clip: float | None = None
 
     def __post_init__(self):
@@ -41,18 +40,8 @@ class TrainConfig:
             raise ValueError("focal_gamma must be >= 0")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}")
-        if self.balancing not in BALANCING_KINDS:
-            raise ValueError(f"balancing must be one of {BALANCING_KINDS}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate, "batch_size": self.batch_size,
-            "epochs": self.epochs, "loss": self.loss, "focal_gamma": self.focal_gamma,
-            "focal_alpha": self.focal_alpha, "seed": self.seed,
-            "balancing": self.balancing, "grad_clip": self.grad_clip,
-        }
 
 
 @dataclass
@@ -197,8 +186,9 @@ def global_norm_clip(grads: dict, max_norm: float) -> dict:
 # training loop
 # ---------------------------------------------------------------------------
 
-def batched_probs(params, spec, X, batch_size: int = 512) -> np.ndarray:
-    """Eval-mode probabilities over a full dataset, chunked to bound memory."""
+def batched_probs(params, spec, X, batch_size: int = EVAL_BATCH) -> np.ndarray:
+    """Eval-mode probabilities over a full dataset, chunked to bound memory.
+    Every evaluation, timing and attribution path runs the model through here."""
     outs = []
     for start in range(0, X.shape[0], batch_size):
         probs, _ = forward(params, spec, X[start:start + batch_size], mode="eval")

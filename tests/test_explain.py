@@ -9,7 +9,6 @@ from bigatid.explain import (
     attribution_summary,
     background_mean_of,
     model_value_fn,
-    shapley_estimate,
     shapley_exact_small,
     shapley_permutation,
 )
@@ -177,18 +176,15 @@ class TestModelEstimator:
         f = model_value_fn(params, spec)
         exact = shapley_exact_small(lambda rows: f(rows)[:, 1], x,
                                     background_mean_of(background))
-        mc = shapley_estimate(params, spec, background, x, class_index=1,
-                              n_permutations=4000, rng=RngStream(11))
+        mc = shapley_permutation(lambda rows: f(rows)[:, 1], x,
+                                 background_mean_of(background), 4000, RngStream(11))
         # untrained model output gaps are small; compare on the value scale
         scale = max(np.abs(exact).max(), 1e-6)
         assert np.abs(mc - exact).max() < 0.05 * scale + 1e-4
 
     def test_empty_background_rejected(self):
-        spec = tiny_bigat_spec()
-        params = build(spec, RngStream(12))
         with pytest.raises(ValueError, match="empty"):
-            shapley_estimate(params, spec, np.zeros((0, 6)), np.zeros(6), 0, 10,
-                             RngStream(13))
+            background_mean_of(np.zeros((0, 6)))
 
 
 def graded_signal_dataset(rng, seq_len=12, c=3, n=120):

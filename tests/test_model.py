@@ -232,6 +232,36 @@ class TestConstructionErrors:
             with pytest.raises(ConstructionError, match="branch1.1_layer_norm: ln_eps"):
                 predict(build(spec, RngStream(0)), spec, np.full((2, 6, 1), 0.5))
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"seq_len": 0}, "seq_len"),
+        ({"n_classes": 1}, "n_classes"),
+        ({"n_classes": 0}, "n_classes"),
+        ({"head": (0,)}, "head"),
+        ({"head": (8, -1)}, "head"),
+    ])
+    def test_variant_fields_checked(self, kwargs, field):
+        # head=(0,) used to build a model that predicts 1/3 for every class
+        with pytest.raises(ConstructionError, match=field):
+            dataclasses.replace(tiny_bigat_spec(), **kwargs)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"kind": "lstm", "units": 4, "heads": 3}, "heads"),
+        ({"kind": "mha", "heads": 2, "key_dim": 3, "units": 5}, "units"),
+        ({"kind": "layer_norm", "rate": 0.5}, "rate"),
+        ({"kind": "dropout", "rate": 0.5, "key_dim": 1}, "key_dim"),
+        ({"kind": "lstm", "units": 2.5}, "units"),
+        ({"kind": "mha", "heads": 2.0, "key_dim": 3}, "heads"),
+        ({"kind": "mha", "heads": 2, "key_dim": "3"}, "key_dim"),
+    ])
+    def test_block_fields_checked(self, kwargs, field):
+        with pytest.raises(ConstructionError, match=field):
+            BlockSpec(**kwargs)
+
+    def test_every_variant_round_trips(self):
+        for v in table5_variants(83, 6):
+            assert VariantSpec.from_dict(v.spec.to_dict()) == v.spec, v.label
+        assert VariantSpec.from_dict(tiny_bigat_spec().to_dict()) == tiny_bigat_spec()
+
 
 class TestLayerCalls:
     def test_model_calls_every_layer_through_the_module(self, monkeypatch):

@@ -161,7 +161,6 @@ class TestTrainConfig:
         {"learning_rate": 0.0},
         {"focal_gamma": -0.5},
         {"loss": "mse"},
-        {"balancing": "undersample"},
         {"epochs": 0},
     ])
     def test_validation(self, kwargs):
