@@ -449,13 +449,13 @@ def cmd_loao(args) -> int:
                                     cfg.train_config(seed=seed_f))
         with _Stage("evaluate"):
             retained_probs = T.batched_probs(params, variant.spec, te_retained.X)
-            retained_acc = float((retained_probs.argmax(axis=1) == te_retained.y).mean())
+            retained_hit = retained_probs.argmax(axis=1) == te_retained.y
+            retained_acc = float(retained_hit.mean())
             holdout_probs = T.batched_probs(params, variant.spec, te_holdout.X)
             normal_idx = retained_codec.to_index(cfg.normal_class)
             pred = holdout_probs.argmax(axis=1)
             detection_rate = float((pred != normal_idx).mean()) if len(te_holdout) else 0.0
-            combined_correct = int((retained_probs.argmax(axis=1) == te_retained.y).sum()) \
-                + int((pred != normal_idx).sum())
+            combined_correct = int(retained_hit.sum()) + int((pred != normal_idx).sum())
             combined_acc = combined_correct / (len(te_retained) + len(te_holdout))
         results.append({
             "held_out": held_out,

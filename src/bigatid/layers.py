@@ -10,6 +10,12 @@ exactly one forward's cache and returns the input gradient plus parameter
 gradients carried in the same dataclass shape as the parameters
 themselves. The recurrent and attention forwards take `train`: when it is
 False they keep nothing for a backward pass and the cache is None.
+
+Self-attention runs over batch tiles of about _TILE_ROWS rows (batch rows x
+steps), forward and backward, so its working memory grows with the batch
+only through arrays of b*T rows, never through the b*h*T^2 attention: the
+train cache holds each score row's log-sum-exp instead, and the backward
+recomputes each tile's attention from it (FlashAttention, Dao et al. 2022).
 """
 
 from __future__ import annotations
@@ -286,15 +292,26 @@ def _gate_blocks(w: np.ndarray, k: int) -> np.ndarray:
     return w.reshape(w.shape[0], k, -1).transpose(1, 0, 2)
 
 
-def _affine(x: np.ndarray, w: np.ndarray, bias: np.ndarray, k: int = 1) -> np.ndarray:
-    """x (..., d) @ w + bias for (d, k*n) w, as (k, m, n) with m the product
-    of the leading dimensions: one batched GEMM, k blocks of output columns.
-    The bias is the weight row of a constant-1 input column, so no pass over
-    the output adds it."""
+def _bias_kernel(w: np.ndarray, bias: np.ndarray, k: int = 1) -> np.ndarray:
+    """A (d, k*n) kernel and its bias as one (k, d+1, n) kernel for _affine:
+    the bias is the weight row of a constant-1 input column."""
+    return _gate_blocks(np.concatenate([w, bias[None]]), k)
+
+
+def _ones_column(x: np.ndarray) -> np.ndarray:
+    """x (..., d) as an (m, d+1) matrix whose last column is 1, m the product
+    of the leading dimensions."""
     x1 = np.ones(x.shape[:-1] + (x.shape[-1] + 1,))
     x1[..., :-1] = x
-    w1 = _gate_blocks(np.concatenate([w, bias[None]]), k)
-    return np.matmul(x1.reshape(-1, x1.shape[-1]), w1)
+    return x1.reshape(-1, x1.shape[-1])
+
+
+def _affine(x: np.ndarray, w1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x (..., d) @ w + bias for w1 = _bias_kernel(w, bias, k), as (k, m, n)
+    with m the product of the leading dimensions: one batched GEMM, k blocks
+    of output columns, written into `out` if given. The constant-1 input
+    column carries the bias, so no pass over the output adds it."""
+    return np.matmul(_ones_column(x), w1, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +323,7 @@ def _input_projection(x: np.ndarray, w: np.ndarray, bias: np.ndarray, k: int) ->
     gate-major and time-major, so each gate's slice at each step is one
     contiguous block."""
     b, t, _ = x.shape
-    return _affine(x.transpose(1, 0, 2), w, bias, k).reshape(k, t, b, -1)
+    return _affine(x.transpose(1, 0, 2), _bias_kernel(w, bias, k)).reshape(k, t, b, -1)
 
 
 def _input_backward(w: np.ndarray, x: np.ndarray, da: np.ndarray):
@@ -515,62 +532,109 @@ def lstm_last_backward(p: LstmParams, cache, dy: np.ndarray):
 # multi-head self-attention
 # ---------------------------------------------------------------------------
 
+# Rows (batch rows x steps) of one attention tile. A sweep of 128-2,048
+# rows (recorded in CHANGES.md) found 256 the fastest at T=83, forward and
+# backward, and no slower at T=20; smaller tiles also hold less memory.
+_TILE_ROWS = 256
+
+
+def _tiles(b: int, t: int) -> tuple[list[slice], int]:
+    """Batch slices of max(1, _TILE_ROWS // t) rows (the last may be
+    shorter), and that tile size, capped at max(b, 1)."""
+    n = max(1, min(b, _TILE_ROWS // t))
+    return [slice(i, min(i + n, b)) for i in range(0, b, n)], n
+
+
+def _heads(qkv: np.ndarray):
+    """Q, K and V as (b, h, T, d_k) views of a (b, T, 3, h, d_k) buffer."""
+    return qkv.transpose(2, 0, 3, 1, 4)
+
+
 def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: bool = True):
     """Self-attention: per head A = softmax(Q K^T / sqrt(d_k)), head = A V;
     heads concatenated then projected back to d_model. No mask, no
     positional encoding. x (b, T, d_model) -> (b, T, d_model).
 
-    Q, K and V come from one GEMM against [Wq | Wk | Wv]; the scale and the
-    softmax run in place on the score buffer, and A V is written straight
-    into the (b, T, h, d_k) layout the output projection reads."""
+    The batch runs in tiles of max(1, _TILE_ROWS // T) rows. Each tile does
+    one GEMM against [Wq | Wk | Wv] (bias row included), its scores, scale
+    and row softmax in one tile-sized buffer, A V into the tile's merged
+    heads, and the Wo GEMM straight into its slice of the output. Eval keeps
+    nothing: the QKV, score and merged-head buffers are one tile each, reused.
+    Train keeps x, the fused (b, T, 3, h, d_k) QKV buffer, each score row's
+    log-sum-exp (b, h, T, 1) and the merged heads (b, T, h, d_k); the
+    backward recomputes A from Q, K and the log-sum-exp, so nothing of
+    b*h*T^2 entries is kept: the score buffer holds one tile."""
     if x.ndim != 3 or x.shape[2] != p.Wq.shape[0]:
         raise ShapeError(f"mha: input {x.shape} does not match projections {p.Wq.shape}")
     if heads * d_k != p.Wq.shape[1]:
         raise ShapeError(f"mha: heads*d_k = {heads * d_k} != projection width {p.Wq.shape[1]}")
     b, t, d_model = x.shape
-    qkv = _affine(x, np.concatenate([p.Wq, p.Wk, p.Wv], axis=1),
-                  np.concatenate([p.bq, p.bk, p.bv]))
-    q, k, v = qkv.reshape(b, t, 3, heads, d_k).transpose(2, 0, 3, 1, 4)  # (b, h, T, dk) views
-    attn = np.matmul(q, k.transpose(0, 1, 3, 2))            # (b, h, T, T)
-    attn *= 1.0 / np.sqrt(d_k)
-    softmax_rows(attn, out=attn)
-    merged = np.empty((b, t, heads, d_k))
-    np.matmul(attn, v, out=merged.transpose(0, 2, 1, 3))
-    ccat = merged.reshape(b * t, heads * d_k)
-    y = ccat @ p.Wo
-    y += p.bo
-    cache = (x, q, k, v, attn, ccat, heads, d_k) if train else None
-    return y.reshape(b, t, d_model), cache
+    w1 = _bias_kernel(np.concatenate([p.Wq, p.Wk, p.Wv], axis=1),
+                      np.concatenate([p.bq, p.bk, p.bv]))
+    scale = 1.0 / np.sqrt(d_k)
+    tiles, n = _tiles(b, t)
+    rows = b if train else n   # train keeps every tile's QKV and heads, eval one tile's
+    qkv = np.empty((rows, t, 3, heads, d_k))
+    merged = np.empty((rows, t, heads, d_k))
+    lse = np.empty((b, heads, t, 1)) if train else None
+    scores = np.empty((n, heads, t, t))
+    y = np.empty((b, t, d_model))
+    for s in tiles:
+        m = s.stop - s.start
+        r = s if train else slice(0, m)
+        _affine(x[s], w1, out=qkv[r].reshape(1, m * t, -1))
+        q, k, v = _heads(qkv[r])
+        a = scores[:m]
+        np.matmul(q, k.transpose(0, 1, 3, 2), out=a)
+        a *= scale
+        softmax_rows(a, out=a, lse=lse[s] if train else None)
+        np.matmul(a, v, out=merged[r].transpose(0, 2, 1, 3))
+        y_s = y[s].reshape(m * t, d_model)
+        np.matmul(merged[r].reshape(m * t, -1), p.Wo, out=y_s)
+        y_s += p.bo
+    cache = (x, qkv, lse, merged) if train else None
+    return y, cache
 
 
 def mha_self_backward(p: MhaParams, cache, dy: np.ndarray):
-    x, q, k, v, attn, ccat, heads, d_k = cache
+    """Gradients of mha_self_forward. dWo and dO = dy Wo^T are one GEMM each
+    over the batch; then, per tile, A = exp(Q K^T / sqrt(d_k) - lse) is
+    recomputed and dV = A^T dO, dS = A * (dO V^T - rowsum(dO * O)) / sqrt(d_k),
+    dQ = dS K and dK = dS^T Q are written into one (b, T, 3, h, d_k) buffer,
+    so dW_qkv, the biases and dx against [Wq | Wk | Wv]^T are one GEMM each."""
+    x, qkv, lse, merged = cache
     b, t, d_model = x.shape
+    _, _, _, heads, d_k = qkv.shape
+    hd = heads * d_k
+    scale = 1.0 / np.sqrt(d_k)
     dy2 = dy.reshape(b * t, d_model)
-    dWo = ccat.T @ dy2
+    dWo = merged.reshape(b * t, hd).T @ dy2
     dbo = dy2.sum(axis=0)
-    dccat = (dy2 @ p.Wo.T).reshape(b, t, heads, d_k).transpose(0, 2, 1, 3)
-
-    dattn = np.matmul(dccat, v.transpose(0, 1, 3, 2))       # (b, h, T, T)
-    dv = np.matmul(attn.transpose(0, 1, 3, 2), dccat)
-    dattn -= (dattn * attn).sum(axis=-1, keepdims=True)     # softmax Jacobian, in place
-    dattn *= attn
-    dattn *= 1.0 / np.sqrt(d_k)
-    dq = np.matmul(dattn, k)
-    dk_ = np.matmul(dattn.transpose(0, 1, 3, 2), q)
-
-    def merge(m):  # (b, h, T, dk) -> (b*T, h*dk)
-        return m.transpose(0, 2, 1, 3).reshape(b * t, heads * d_k)
-
-    x2 = x.reshape(b * t, d_model)
-    dq2, dk2, dv2 = merge(dq), merge(dk_), merge(dv)
-    grads = MhaParams(
-        Wq=x2.T @ dq2, bq=dq2.sum(axis=0),
-        Wk=x2.T @ dk2, bk=dk2.sum(axis=0),
-        Wv=x2.T @ dv2, bv=dv2.sum(axis=0),
-        Wo=dWo, bo=dbo,
-    )
-    dx = dq2 @ p.Wq.T
-    dx += dk2 @ p.Wk.T
-    dx += dv2 @ p.Wv.T
+    do = (dy2 @ p.Wo.T).reshape(b, t, heads, d_k)
+    dqkv = np.empty_like(qkv)
+    tiles, n = _tiles(b, t)
+    attn = np.empty((n, heads, t, t))
+    dscores = np.empty_like(attn)
+    for s in tiles:
+        m = s.stop - s.start
+        q, k, v = _heads(qkv[s])
+        dq, dk, dv = _heads(dqkv[s])
+        do_s = do[s].transpose(0, 2, 1, 3)
+        a, da = attn[:m], dscores[:m]
+        np.matmul(q, k.transpose(0, 1, 3, 2), out=a)
+        a *= scale
+        a -= lse[s]
+        np.exp(a, out=a)
+        np.matmul(a.transpose(0, 1, 3, 2), do_s, out=dv)
+        np.matmul(do_s, v.transpose(0, 1, 3, 2), out=da)
+        da -= np.einsum("bthd,bthd->bht", do[s], merged[s])[..., None]  # rowsum(dO * O)
+        da *= a
+        da *= scale
+        np.matmul(da, k, out=dq)
+        np.matmul(da.transpose(0, 1, 3, 2), q, out=dk)
+    dqkv2 = dqkv.reshape(b * t, 3 * hd)
+    dw1 = _ones_column(x).T @ dqkv2      # the last row is the bias gradient
+    (dWq, dWk, dWv), (dbq, dbk, dbv) = np.split(dw1[:-1], 3, axis=1), np.split(dw1[-1], 3)
+    dx = dqkv2 @ np.concatenate([p.Wq, p.Wk, p.Wv], axis=1).T
+    grads = MhaParams(Wq=dWq, bq=dbq, Wk=dWk, bk=dbk, Wv=dWv, bv=dbv, Wo=dWo, bo=dbo)
     return dx.reshape(b, t, d_model), grads

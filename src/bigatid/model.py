@@ -341,7 +341,11 @@ class BlockSpec:
             if f.name not in used and value != f.default:
                 raise ConstructionError(f"{self.kind} block does not use {f.name} "
                                         f"(got {value!r})")
-            if f.name != "rate" and not isinstance(value, (int, np.integer)):
+            if f.name == "rate":
+                if not isinstance(value, (int, float, np.integer, np.floating)):
+                    raise ConstructionError(f"{self.kind} block: rate must be a number, "
+                                            f"got {value!r}")
+            elif not isinstance(value, (int, np.integer)):
                 raise ConstructionError(f"{self.kind} block: {f.name} must be an "
                                         f"integer, got {value!r}")
 
@@ -365,6 +369,10 @@ class VariantSpec:
     ln_eps: float = 1e-3
 
     def __post_init__(self):
+        if not isinstance(self.seq_len, (int, np.integer)):
+            raise ConstructionError(f"seq_len must be an integer, got {self.seq_len!r}")
+        if not all(isinstance(w, (int, np.integer)) for w in self.head):
+            raise ConstructionError(f"head widths must be integers, got {self.head}")
         if self.seq_len < 1:
             raise ConstructionError(f"seq_len must be >= 1, got {self.seq_len}")
         if self.n_classes < 2:

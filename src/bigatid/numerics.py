@@ -38,13 +38,20 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def softmax_rows(x: np.ndarray, out: np.ndarray | None = None,
+                 lse: np.ndarray | None = None) -> np.ndarray:
     """Last-axis softmax with max subtraction; each row sums to 1. Pass `out`
-    (which may be `x` itself) to write the result there."""
+    (which may be `x` itself) to write the result there, and `lse` (shape
+    `x.shape[:-1] + (1,)`) to receive each row's log-sum-exp, from which
+    `exp(x - lse)` gives the softmax again."""
     x = as_f64(x)
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    top = x.max(axis=-1, keepdims=True)
+    out = np.subtract(x, top, out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    total = out.sum(axis=-1, keepdims=True)
+    out /= total
+    if lse is not None:
+        np.add(np.log(total), top, out=lse)
     return out
 
 

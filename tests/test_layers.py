@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,17 +261,54 @@ class TestLstm:
             check_layer_grads(p, L.lstm_sequence_forward, L.lstm_sequence_backward, x, rng)
 
 
+def plain_attention(p: L.MhaParams, x, heads, d_k, dy):
+    """Untiled reference attention in einsums, with the whole (b, h, T, T)
+    attention kept: returns y and the gradients (dx, MhaParams) for dy."""
+    b, t, d_model = x.shape
+    x2 = x.reshape(b * t, d_model)
+
+    def split(w, bias):
+        return (x2 @ w + bias).reshape(b, t, heads, d_k)
+
+    q, k, v = split(p.Wq, p.bq), split(p.Wk, p.bk), split(p.Wv, p.bv)
+    s = np.einsum("bqhd,bkhd->bhqk", q, k) / np.sqrt(d_k)
+    a = np.exp(s - s.max(axis=-1, keepdims=True))
+    a /= a.sum(axis=-1, keepdims=True)
+    o2 = np.einsum("bhqk,bkhd->bqhd", a, v).reshape(b * t, heads * d_k)
+    y = (o2 @ p.Wo + p.bo).reshape(b, t, d_model)
+
+    dy2 = dy.reshape(b * t, d_model)
+    do = (dy2 @ p.Wo.T).reshape(b, t, heads, d_k)
+    da = np.einsum("bqhd,bkhd->bhqk", do, v)
+    ds = a * (da - (da * a).sum(axis=-1, keepdims=True)) / np.sqrt(d_k)
+    dq = np.einsum("bhqk,bkhd->bqhd", ds, k).reshape(b * t, -1)
+    dk = np.einsum("bhqk,bqhd->bkhd", ds, q).reshape(b * t, -1)
+    dv = np.einsum("bhqk,bqhd->bkhd", a, do).reshape(b * t, -1)
+    grads = L.MhaParams(Wq=x2.T @ dq, bq=dq.sum(axis=0), Wk=x2.T @ dk, bk=dk.sum(axis=0),
+                        Wv=x2.T @ dv, bv=dv.sum(axis=0), Wo=o2.T @ dy2, bo=dy2.sum(axis=0))
+    dx = (dq @ p.Wq.T + dk @ p.Wk.T + dv @ p.Wv.T).reshape(b, t, d_model)
+    return y, dx, grads
+
+
+def with_noisy_biases(p: L.MhaParams, rng: RngStream) -> L.MhaParams:
+    return dataclasses.replace(p, **{f: rng.normal(size=a.shape) * 0.1
+                                     for f, a in p.tensors() if f.startswith("b")})
+
+
 class TestMha:
     def test_single_token_closed_form(self):
         rng = RngStream(22)
         p = L.MhaParams.init(rng, 6, 2, 3)
         x = rng.normal(size=(2, 1, 6))
-        y, cache = L.mha_self_forward(p, x, 2, 3)
-        attn = cache[4]
-        assert np.abs(attn - 1.0).max() < 1e-15  # 1x1 attention is forced to 1
+        y, _ = L.mha_self_forward(p, x, 2, 3)
         x2 = x.reshape(2, 6)
         expected = ((x2 @ p.Wv + p.bv) @ p.Wo + p.bo).reshape(2, 1, 6)
         assert np.abs(y - expected).max() < 1e-12
+        # 1x1 attention is forced to 1, whatever the queries and keys score
+        loud = dataclasses.replace(p, Wq=p.Wq * 100.0, bq=p.bq + 3.0,
+                                   Wk=-p.Wk * 100.0, bk=p.bk - 3.0)
+        y_loud, _ = L.mha_self_forward(loud, x, 2, 3)
+        assert np.abs(y_loud - y).max() < 1e-15
 
     def test_zero_query_key_uniform_attention(self):
         rng = RngStream(23)
@@ -279,16 +317,21 @@ class TestMha:
         p.bq[:] = 0.0
         p.Wk[:] = 0.0
         p.bk[:] = 0.0
-        _, cache = L.mha_self_forward(p, rng.normal(size=(2, 5, 6)), 2, 3)
-        attn = cache[4]
-        assert np.abs(attn - 0.2).max() < 1e-15
+        x = rng.normal(size=(2, 5, 6))
+        y, _ = L.mha_self_forward(p, x, 2, 3)
+        # uniform attention: every position outputs its sequence's mean value
+        expected = ((x @ p.Wv + p.bv) @ p.Wo + p.bo).mean(axis=1, keepdims=True)
+        assert np.abs(y - expected).max() < 1e-15
 
     def test_attention_rows_sum_to_one(self):
         rng = RngStream(24)
         p = L.MhaParams.init(rng, 8, 2, 4)
-        _, cache = L.mha_self_forward(p, rng.normal(size=(3, 7, 8)) * 10, 2, 4)
-        attn = cache[4]
-        assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
+        c = rng.normal(size=8)
+        p.Wv[:] = 0.0
+        p.bv[:] = c
+        y, _ = L.mha_self_forward(p, rng.normal(size=(3, 7, 8)) * 10, 2, 4)
+        # every value row is c, so y = (sum of a row of A) c Wo + bo
+        assert np.abs(y - (c @ p.Wo + p.bo)).max() < 1e-12
 
     def test_projection_shape_mismatch(self):
         p = L.MhaParams.init(RngStream(0), 6, 2, 3)
@@ -304,6 +347,44 @@ class TestMha:
             x = rng.normal(size=shape + (6,))
             check_layer_grads(p, lambda p_, x_: L.mha_self_forward(p_, x_, 2, 3),
                               L.mha_self_backward, x, rng)
+
+    def test_gradients_one_row_per_tile(self, monkeypatch):
+        monkeypatch.setattr(L, "_TILE_ROWS", 1)
+        rng = RngStream(26)
+        p = with_noisy_biases(L.MhaParams.init(rng, 6, 2, 3), rng)
+        x = rng.normal(size=(3, 4, 6))
+        check_layer_grads(p, lambda p_, x_: L.mha_self_forward(p_, x_, 2, 3),
+                          L.mha_self_backward, x, rng)
+
+    def test_ragged_tiles_match_untiled_attention(self):
+        rng = RngStream(27)
+        t, heads, d_k = 83, 2, 4
+        tile = max(1, L._TILE_ROWS // t)
+        p = with_noisy_biases(L.MhaParams.init(rng, 8, heads, d_k), rng)
+        x = rng.normal(size=(2 * tile + 1, t, 8))
+        dy = rng.normal(size=x.shape)
+        y_ref, dx_ref, g_ref = plain_attention(p, x, heads, d_k, dy)
+        y_eval, _ = L.mha_self_forward(p, x, heads, d_k, train=False)
+        y, cache = L.mha_self_forward(p, x, heads, d_k, train=True)
+        assert np.abs(y_eval - y_ref).max() < 1e-12
+        assert np.abs(y - y_ref).max() < 1e-12
+        dx, grads = L.mha_self_backward(p, cache, dy)
+        assert grad_mismatch(dx, dx_ref) < 1e-12
+        for name, ref in g_ref.tensors():
+            assert grad_mismatch(getattr(grads, name), ref) < 1e-12, name
+
+    def test_eval_holds_no_whole_batch_score_buffer(self):
+        b, t, heads, d_k = 64, 83, 8, 64
+        rng = RngStream(28)
+        p = L.MhaParams.init(rng, 128, heads, d_k)
+        x = rng.normal(size=(b, t, 128))
+        tracemalloc.start()
+        try:
+            L.mha_self_forward(p, x, heads, d_k, train=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < b * heads * t * t * 8
 
 
 class TestTimeDense:

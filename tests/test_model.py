@@ -238,6 +238,8 @@ class TestConstructionErrors:
         ({"n_classes": 0}, "n_classes"),
         ({"head": (0,)}, "head"),
         ({"head": (8, -1)}, "head"),
+        ({"seq_len": 5.5}, "seq_len"),
+        ({"head": (2.5,)}, "head"),
     ])
     def test_variant_fields_checked(self, kwargs, field):
         # head=(0,) used to build a model that predicts 1/3 for every class
@@ -252,6 +254,7 @@ class TestConstructionErrors:
         ({"kind": "lstm", "units": 2.5}, "units"),
         ({"kind": "mha", "heads": 2.0, "key_dim": 3}, "heads"),
         ({"kind": "mha", "heads": 2, "key_dim": "3"}, "key_dim"),
+        ({"kind": "dropout", "rate": "0.5"}, "rate"),
     ])
     def test_block_fields_checked(self, kwargs, field):
         with pytest.raises(ConstructionError, match=field):

@@ -42,6 +42,14 @@ class TestSoftmax:
         assert softmax_rows(x, out=x) is x
         assert np.array_equal(x, expected)
 
+    def test_log_sum_exp_recovers_the_softmax(self):
+        x = RngStream(5).normal(size=(3, 4, 5)) * 10
+        lse = np.empty((3, 4, 1))
+        out = softmax_rows(x, lse=lse)
+        assert np.array_equal(out, softmax_rows(x))
+        assert np.abs(lse - np.log(np.exp(x).sum(axis=-1, keepdims=True))).max() < 1e-13
+        assert np.abs(np.exp(x - lse) - out).max() < 1e-14  # x - lse rounds at |x| ~ 25
+
     def test_large_magnitude_no_overflow(self):
         out = softmax_rows(np.array([1000.0, 0.0]))
         assert np.isfinite(out).all()
