@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -44,24 +44,44 @@ class StratifyError(DataError):
 # tables and codecs
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class RawTable:
-    """A typed view of one CSV: feature columns plus the label column.
+    """A typed, column-wise view of one CSV: feature columns plus the label
+    column, each cell parsed once by `load_csv`.
+
     kinds[i] is 'numeric' when every non-empty cell of column i parses as a
-    real number, else 'categorical'."""
+    real number (Python's `float`), else 'categorical'; the label column is
+    always categorical. values[i] is a float64 array for a numeric column,
+    with 0.0 in its empty cells, and an object array of the cell strings for
+    a categorical one. empty[i] marks the empty cells of a numeric column, or
+    is None when it has none (and for every categorical column). first_seen
+    marks each row that is the first with its exact field strings, so "1" and
+    "1.0" rows are different rows."""
 
     columns: list[str]
     kinds: list[str]
-    rows: list[list[str]]
+    values: list[np.ndarray]
+    empty: list[np.ndarray | None]
+    first_seen: np.ndarray
     label_column: str
 
     @property
     def label_index(self) -> int:
         return self.columns.index(self.label_column)
 
+    @property
+    def n_rows(self) -> int:
+        return self.first_seen.shape[0]
+
     def feature_indices(self) -> list[int]:
         li = self.label_index
         return [i for i in range(len(self.columns)) if i != li]
+
+    def subset(self, keep: np.ndarray) -> "RawTable":
+        """The rows where the boolean mask `keep` is set, in order."""
+        return replace(self, values=[v[keep] for v in self.values],
+                       empty=[None if e is None else e[keep] for e in self.empty],
+                       first_seen=self.first_seen[keep])
 
 
 @dataclass(frozen=True)
@@ -153,17 +173,27 @@ class Dataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _parses_as_float(cell: str) -> bool:
+def _parse_column(cells: tuple[str, ...]):
+    """One column's cells -> (float64 values with 0.0 where empty, empty mask
+    or None), or None as soon as a non-empty cell is not a real number.
+    numpy converts each str with Python's `float`, so "1_0", " 2 ", "nan"
+    and "1e400" parse exactly as `float` parses them."""
     try:
-        float(cell)
-        return True
+        if "" not in cells:
+            return np.array(cells, dtype=np.float64), None
+        return (np.array([c or "0" for c in cells], dtype=np.float64),
+                np.fromiter(map(operator.not_, cells), dtype=bool, count=len(cells)))
     except ValueError:
-        return False
+        return None
 
 
 def load_csv(path, label_column: str = "Label") -> RawTable:
-    """Read a header-first CSV into a typed table. Column kinds are inferred:
-    numeric when every non-empty cell parses as a real, else categorical."""
+    """Read a header-first CSV into a column-wise typed table, parsing each
+    cell once. A column is numeric when every non-empty cell parses as a real
+    (an all-empty column too), else categorical; the label column is always
+    categorical. Also records which rows are the first with their exact field
+    strings, for `clean`. Raises RaggedRowError naming the first row whose
+    field count differs from the header's."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -176,71 +206,86 @@ def load_csv(path, label_column: str = "Label") -> RawTable:
                 if len(row) != len(columns):
                     raise RaggedRowError(f"{path}:{lineno}: expected {len(columns)} fields, "
                                          f"got {len(row)}")
-                rows.append(row)
+                rows.append(tuple(row))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if label_column not in columns:
         raise MissingLabelError(f"{path}: label column {label_column!r} not found in "
                                 f"header {columns}")
-    kinds = []
-    for j in range(len(columns)):
-        cells = [r[j] for r in rows if r[j] != ""]
-        kinds.append("numeric" if cells and all(_parses_as_float(c) for c in cells)
-                     else "categorical" if cells else "numeric")
-    kinds[columns.index(label_column)] = "categorical"
-    return RawTable(columns=columns, kinds=kinds, rows=rows, label_column=label_column)
+    n = len(rows)
+    # Later rows are inserted first, so each row ends up with its first index.
+    first_index = dict(zip(reversed(rows), range(n - 1, -1, -1)))
+    first_seen = np.zeros(n, dtype=bool)
+    first_seen[np.fromiter(first_index.values(), dtype=np.intp, count=len(first_index))] = True
+    # free the row tuples (held by rows and the dict) before parsing columns
+    del first_index
+    cells_by_column = list(zip(*rows)) if n else [()] * len(columns)
+    del rows
+    li = columns.index(label_column)
+    kinds, values, empty = [], [], []
+    for j, cells in enumerate(cells_by_column):
+        parsed = None if j == li else _parse_column(cells)
+        if parsed is None:
+            kinds.append("categorical")
+            values.append(np.array(cells, dtype=object))
+            empty.append(None)
+        else:
+            kinds.append("numeric")
+            values.append(parsed[0])
+            empty.append(parsed[1])
+    return RawTable(columns=columns, kinds=kinds, values=values, empty=empty,
+                    first_seen=first_seen, label_column=label_column)
 
 
 def clean(t: RawTable) -> tuple[RawTable, dict]:
-    """Drop rows with non-finite numeric cells or empty labels, then exact
-    duplicates. Returns the cleaned table plus drop counts."""
+    """Drop invalid rows (an empty label, or an empty or non-finite numeric
+    feature cell), then every valid row that is not the first with its exact
+    field strings. Returns the cleaned table plus drop counts. Raises
+    EmptyDatasetError with both counts when nothing is left, naming any
+    column that is invalid in every row."""
     li = t.label_index
-    numeric_idx = [i for i in t.feature_indices() if t.kinds[i] == "numeric"]
-    kept = []
-    n_bad = 0
-    for row in t.rows:
-        if row[li] == "":
-            n_bad += 1
-            continue
-        ok = True
-        for j in numeric_idx:
-            cell = row[j]
-            if cell == "" or not math.isfinite(float(cell)):
-                ok = False
-                break
-        if ok:
-            kept.append(row)
-        else:
-            n_bad += 1
-    seen = set()
-    deduped = []
-    for row in kept:
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(row)
-    n_dup = len(kept) - len(deduped)
-    if not deduped:
-        raise EmptyDatasetError("cleaning removed every row")
-    return replace(t, rows=deduped), {"dropped_invalid": n_bad, "dropped_duplicate": n_dup}
+    numeric_idx = [j for j in t.feature_indices() if t.kinds[j] == "numeric"]
+
+    def invalid(j):
+        if j == li:
+            return t.values[j] == ""
+        bad = ~np.isfinite(t.values[j])
+        return bad if t.empty[j] is None else bad | t.empty[j]
+
+    bad = np.zeros(t.n_rows, dtype=bool)
+    for j in [li] + numeric_idx:
+        bad |= invalid(j)
+    # identical rows are valid or invalid together, so a valid row's first
+    # occurrence in the table is also its first among the valid rows
+    keep = t.first_seen & ~bad
+    n_bad = int(bad.sum())
+    drops = {"dropped_invalid": n_bad, "dropped_duplicate": t.n_rows - n_bad - int(keep.sum())}
+    if not keep.any():
+        causes = [f"column {t.columns[j]!r} is {'empty' if j == li else 'empty or non-finite'} "
+                  "in every row" for j in [li] + numeric_idx if t.n_rows and invalid(j).all()]
+        raise EmptyDatasetError("; ".join([f"cleaning removed every row: {n_bad} invalid, "
+                                           f"{drops['dropped_duplicate']} duplicate"] + causes))
+    return t.subset(keep), drops
 
 
 def encode(t: RawTable, codec: LabelCodec | None = None):
-    """Map the table to numbers: categorical feature columns to integer codes
-    in lexicographic value order, labels through the (fitted or given) codec.
+    """Map the table to numbers: numeric columns are copied (an empty cell is
+    0.0), categorical feature columns become integer codes in lexicographic
+    value order, labels go through the (fitted or given) codec.
     Returns (features (n, T), labels (n,), codec)."""
     li = t.label_index
     feat_idx = t.feature_indices()
-    n = len(t.rows)
+    n = t.n_rows
     features = np.empty((n, len(feat_idx)), dtype=np.float64)
     for out_j, j in enumerate(feat_idx):
-        col = [row[j] for row in t.rows]
+        col = t.values[j]
         if t.kinds[j] == "numeric":
-            features[:, out_j] = [float(c) if c != "" else 0.0 for c in col]
+            features[:, out_j] = col
         else:
             order = {v: k for k, v in enumerate(sorted(set(col)))}
-            features[:, out_j] = [order[c] for c in col]
-    labels_raw = [row[li] for row in t.rows]
+            features[:, out_j] = np.fromiter(map(order.__getitem__, col),
+                                             dtype=np.float64, count=n)
+    labels_raw = t.values[li]
     if codec is None:
         codec = LabelCodec.fit(labels_raw)
     labels = codec.encode(labels_raw)
@@ -330,11 +375,37 @@ def ros_balance(ds: Dataset, rng: RngStream) -> Dataset:
     return ds.subset(idx)
 
 
+# Cells of the (rows, m, T) difference block that _nearest_neighbours holds
+# at once: 512 kB of float64, so a block stays in cache. Its memory grows
+# with m*T, never with m^2*T. A sweep of 2^14-2^21 cells on the benchmark's
+# class sizes (m = 46-285, T = 83) found 2^15-2^17 fastest, 2^20 about 1.6x
+# slower, and the unblocked (m, m, T) broadcast slower still.
+_NEIGHBOUR_BLOCK_CELLS = 1 << 16
+
+
+def _nearest_neighbours(pts: np.ndarray, k: int) -> np.ndarray:
+    """Indices (m, k) of each row's k nearest other rows of pts (m, T), by
+    the exact squared distance ((a - b)^2).sum() and a stable argsort, so
+    ties go to the lower index. Computed for blocks of rows at a time."""
+    m = pts.shape[0]
+    rows = max(1, _NEIGHBOUR_BLOCK_CELLS // max(1, m * pts.shape[1]))
+    neigh = np.empty((m, k), dtype=np.intp)
+    for s in range(0, m, rows):
+        e = min(s + rows, m)
+        diff = pts[s:e, None, :] - pts[None, :, :]  # (e - s, m, T)
+        d2 = np.square(diff, out=diff).sum(axis=2)
+        d2[np.arange(e - s), np.arange(s, e)] = np.inf
+        neigh[s:e] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return neigh
+
+
 def smote_balance(ds: Dataset, rng: RngStream, k: int = 5) -> Dataset:
-    """SMOTE: upsample each minority class by interpolating between a member
-    and one of its k nearest same-class neighbors (Euclidean on the
-    flattened features), x + lambda*(z - x), lambda ~ U[0, 1). Classes of
-    size 1 fall back to duplication with a warning."""
+    """SMOTE (Chawla et al. 2002): upsample each minority class by
+    interpolating between a member and one of its k nearest same-class
+    neighbors (Euclidean on the flattened features, ties to the earlier
+    member), x + lambda*(z - x), lambda ~ U[0, 1). Neighbours are found in
+    row blocks, so memory grows with the class size, not with its square.
+    Classes of size 1 fall back to duplication with a warning."""
     if k < 1:
         raise DataError(f"smote_balance: k must be >= 1, got {k}")
     counts = ds.class_counts()
@@ -359,9 +430,7 @@ def smote_balance(ds: Dataset, rng: RngStream, k: int = 5) -> Dataset:
             continue
         pts = feats[members]                       # (m, T)
         k_eff = min(k, members.size - 1)
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        neigh = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]  # (m, k_eff)
+        neigh = _nearest_neighbours(pts, k_eff)    # (m, k_eff)
         base = rng.integers(0, members.size, size=need)
         pick = rng.integers(0, k_eff, size=need)
         lam = rng.uniform(size=(need, 1))

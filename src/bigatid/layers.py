@@ -563,7 +563,11 @@ def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: b
     Train keeps x, the fused (b, T, 3, h, d_k) QKV buffer, each score row's
     log-sum-exp (b, h, T, 1) and the merged heads (b, T, h, d_k); the
     backward recomputes A from Q, K and the log-sum-exp, so nothing of
-    b*h*T^2 entries is kept: the score buffer holds one tile."""
+    b*h*T^2 entries is kept: the score buffer holds one tile.
+
+    The key bias bk adds q.bk to every score of a query's row, and softmax is
+    invariant to a per-row shift, so bk has no effect on the output and its
+    gradient is zero up to rounding; it is still kept as a parameter."""
     if x.ndim != 3 or x.shape[2] != p.Wq.shape[0]:
         raise ShapeError(f"mha: input {x.shape} does not match projections {p.Wq.shape}")
     if heads * d_k != p.Wq.shape[1]:

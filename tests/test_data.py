@@ -1,5 +1,11 @@
+import csv
+import io
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bigatid import data as D
 from bigatid.numerics import RngStream
@@ -8,6 +14,10 @@ from bigatid.numerics import RngStream
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def column(t, name):
+    return t.values[t.columns.index(name)]
 
 
 MIXED_CSV = """duration,proto,bytes,Label
@@ -22,11 +32,14 @@ class TestLoadCsv:
         t = D.load_csv(write_csv(tmp_path / "a.csv", MIXED_CSV))
         assert t.columns == ["duration", "proto", "bytes", "Label"]
         assert t.kinds == ["numeric", "categorical", "numeric", "categorical"]
-        assert len(t.rows) == 3
+        assert t.n_rows == 3
+        assert column(t, "duration").tolist() == [1.5, 2.0, 0.1]
+        assert column(t, "proto").tolist() == ["tcp", "udp", "icmp"]
 
     def test_header_only_is_empty_not_error(self, tmp_path):
         t = D.load_csv(write_csv(tmp_path / "h.csv", "a,b,Label\n"))
-        assert t.rows == []
+        assert t.n_rows == 0
+        assert all(len(v) == 0 for v in t.values)
 
     def test_ragged_row_names_line(self, tmp_path):
         path = write_csv(tmp_path / "r.csv", "a,b,Label\n1,2,x\n1,2\n")
@@ -41,7 +54,7 @@ class TestLoadCsv:
     def test_quoted_fields(self, tmp_path):
         path = write_csv(tmp_path / "q.csv", 'a,Label\n"1.5","attack, complex"\n')
         t = D.load_csv(path)
-        assert t.rows[0][1] == "attack, complex"
+        assert column(t, "Label").tolist() == ["attack, complex"]
         assert t.kinds[0] == "numeric"
 
     def test_unreadable_file(self, tmp_path):
@@ -54,30 +67,191 @@ class TestClean:
         t = D.load_csv(write_csv(tmp_path / "a.csv", "v,Label\n1,x\ninf,y\n2,z\n"))
         cleaned, drops = D.clean(t)
         assert drops["dropped_invalid"] == 1
-        assert [r[0] for r in cleaned.rows] == ["1", "2"]
+        assert column(cleaned, "v").tolist() == [1.0, 2.0]
+        assert column(cleaned, "Label").tolist() == ["x", "z"]
 
     def test_nan_and_empty_label_dropped(self, tmp_path):
         t = D.load_csv(write_csv(tmp_path / "a.csv", "v,Label\nnan,x\n1,\n2,ok\n"))
         cleaned, drops = D.clean(t)
         assert drops["dropped_invalid"] == 2
-        assert len(cleaned.rows) == 1
+        assert cleaned.n_rows == 1
 
     def test_duplicates_deduplicated(self, tmp_path):
         t = D.load_csv(write_csv(tmp_path / "a.csv", "v,Label\n1,x\n1,x\n2,y\n"))
         cleaned, drops = D.clean(t)
         assert drops["dropped_duplicate"] == 1
-        assert len(cleaned.rows) == 2
+        assert cleaned.n_rows == 2
 
     def test_clean_table_unchanged(self, tmp_path):
         t = D.load_csv(write_csv(tmp_path / "a.csv", MIXED_CSV))
         cleaned, drops = D.clean(t)
-        assert cleaned.rows == t.rows
+        assert cleaned.n_rows == t.n_rows
+        for a, b in zip(cleaned.values, t.values):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
         assert drops == {"dropped_invalid": 0, "dropped_duplicate": 0}
 
     def test_everything_removed_is_an_error(self, tmp_path):
         t = D.load_csv(write_csv(tmp_path / "a.csv", "v,Label\ninf,x\n"))
         with pytest.raises(D.EmptyDatasetError):
             D.clean(t)
+
+    @pytest.mark.parametrize("text, message", [
+        # an all-empty column is numeric, and empty in every row
+        ("v,w,Label\n,1,x\n,2,y\n,2,y\n",
+         "3 invalid, 0 duplicate; column 'v' is empty or non-finite in every row"),
+        ("v,Label\n1,\n2,\n", "2 invalid, 0 duplicate; column 'Label' is empty in every row"),
+        ("v,Label\ninf,x\n1,\n", "2 invalid, 0 duplicate"),   # no one column is to blame
+    ])
+    def test_everything_removed_names_counts_and_cause(self, tmp_path, text, message):
+        t = D.load_csv(write_csv(tmp_path / "a.csv", text))
+        with pytest.raises(D.EmptyDatasetError) as err:
+            D.clean(t)
+        assert str(err.value).endswith(message)
+
+
+# Cells the loader parity test draws from. Numeric ones include forms that
+# Python's float accepts and a naive parser might not ("1_0", " 2 ", "-0",
+# "1e400" -> inf) and the near-duplicates "1"/"1.0"; categorical ones carry
+# commas, quotes and a line break, so csv quoting is exercised.
+NUMERIC_CELLS = ("", "nan", "inf", "-inf", "1e400", "1_0", " 2 ", "-0", "0", "1", "1.0",
+                 "2.5", "-3e-2")
+CATEGORICAL_CELLS = ("tcp", "udp", "a,b", 'say "hi"', "two\nlines", "", "1", "ICMP")
+LABEL_CELLS = ("Normal", "DDoS", "Mirai, v2", "")
+
+
+@st.composite
+def raw_csv_texts(draw):
+    """A small raw CSV: numeric, categorical and mixed feature columns plus a
+    Label column at a random place. Rows are drawn from a small pool, so
+    exact duplicates are common."""
+    numeric_cell = st.one_of(st.sampled_from(NUMERIC_CELLS),
+                             st.floats(width=32).map(repr), st.integers(-3, 3).map(str))
+    cell_kinds = {"numeric": numeric_cell, "categorical": st.sampled_from(CATEGORICAL_CELLS),
+                  "mixed": st.one_of(numeric_cell, st.sampled_from(CATEGORICAL_CELLS))}
+    kinds = draw(st.lists(st.sampled_from(sorted(cell_kinds)), min_size=1, max_size=4))
+    label_at = draw(st.integers(0, len(kinds)))
+    cells = [cell_kinds[k] for k in kinds]
+    cells.insert(label_at, st.sampled_from(LABEL_CELLS))
+    pool = draw(st.lists(st.tuples(*cells), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=12))
+    header = [f"c{j}" for j in range(len(kinds))]
+    header.insert(label_at, "Label")
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def reference_kinds_and_rows(text):
+    """Column kinds and rows of a CSV, by the per-cell rules: a column is
+    numeric when every non-empty cell parses with float(); the label column
+    is categorical."""
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    columns, rows = records[0], records[1:]
+    li = columns.index("Label")
+
+    def parses(cell):
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return False
+
+    kinds = ["numeric" if all(parses(r[j]) for r in rows if r[j] != "") else "categorical"
+             for j in range(len(columns))]
+    kinds[li] = "categorical"
+    return kinds, rows, li
+
+
+def reference_encode(kinds, rows, li):
+    """Features, labels and classes of rows, cell by cell: numeric cells
+    through float() (empty -> 0.0), categorical cells to their rank among the
+    column's sorted values, labels to their rank among the sorted labels."""
+    feat = [j for j in range(len(kinds)) if j != li]
+    features = np.empty((len(rows), len(feat)))
+    for out_j, j in enumerate(feat):
+        col = [r[j] for r in rows]
+        if kinds[j] == "numeric":
+            features[:, out_j] = [float(c) if c != "" else 0.0 for c in col]
+        else:
+            rank = {v: k for k, v in enumerate(sorted(set(col)))}
+            features[:, out_j] = [rank[c] for c in col]
+    classes = tuple(sorted({r[li] for r in rows}))
+    labels = np.array([classes.index(r[li]) for r in rows], dtype=np.int64)
+    return features, labels, classes
+
+
+def reference_clean(kinds, rows, li):
+    """Rows left after dropping invalid rows (empty label, empty or
+    non-finite numeric cell), then repeats of earlier rows' exact strings."""
+    numeric = [j for j in range(len(kinds)) if j != li and kinds[j] == "numeric"]
+    valid = [r for r in rows
+             if r[li] != "" and all(r[j] != "" and math.isfinite(float(r[j])) for j in numeric)]
+    kept, seen = [], set()
+    for r in valid:
+        if tuple(r) not in seen:
+            seen.add(tuple(r))
+            kept.append(r)
+    return kept, {"dropped_invalid": len(rows) - len(valid),
+                  "dropped_duplicate": len(valid) - len(kept)}
+
+
+def assert_bit_identical(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLoaderParity:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(text=raw_csv_texts())
+    @example(text="v,Label\n1,x\n1.0,x\n1,x\n")   # near-duplicates both stay, the repeat goes
+    def test_load_clean_encode_match_per_cell_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("parity") / "raw.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        kinds, rows, li = reference_kinds_and_rows(text)
+        table = D.load_csv(path)
+        assert table.kinds == kinds
+        assert table.n_rows == len(rows)
+
+        features, labels, codec = D.encode(table)   # uncleaned: nan, inf and empty cells
+        ref_features, ref_labels, ref_classes = reference_encode(kinds, rows, li)
+        assert_bit_identical(features, ref_features)
+        assert_bit_identical(labels, ref_labels)
+        assert codec.classes == ref_classes
+
+        kept, ref_drops = reference_clean(kinds, rows, li)
+        if not kept:
+            with pytest.raises(D.EmptyDatasetError,
+                               match=f"{ref_drops['dropped_invalid']} invalid, "
+                                     f"{ref_drops['dropped_duplicate']} duplicate"):
+                D.clean(table)
+            return
+        cleaned, drops = D.clean(table)
+        assert drops == ref_drops
+        features, labels, codec = D.encode(cleaned)
+        ref_features, ref_labels, ref_classes = reference_encode(kinds, kept, li)
+        assert_bit_identical(features, ref_features)
+        assert_bit_identical(labels, ref_labels)
+        assert codec.classes == ref_classes
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(feats=st.integers(1, 6).flatmap(lambda t: st.lists(
+               st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=t, max_size=t),
+               min_size=1, max_size=8)),
+           names=st.lists(st.sampled_from(["normal", "attack_01", "attack_02"]),
+                          min_size=8, max_size=8))
+    def test_save_load_encode_round_trip(self, tmp_path_factory, feats, names):
+        x = np.array(feats, dtype=np.float64)
+        names = names[:len(x)]
+        codec = D.LabelCodec.fit(names)
+        ds = D.Dataset(X=D.to_sequences(x), y=codec.encode(names), codec=codec)
+        path = tmp_path_factory.mktemp("round") / "d.csv"
+        D.save_dataset_csv(ds, path)
+        features, labels, got_codec = D.encode(D.load_csv(path))
+        assert_bit_identical(features, x)   # -0.0, subnormals and 1e308 included
+        assert got_codec == codec
+        assert_bit_identical(labels, ds.y)
 
 
 class TestEncode:
@@ -279,6 +453,70 @@ class TestSmoteBalance:
     def test_bad_k(self):
         with pytest.raises(D.DataError):
             D.smote_balance(make_dataset([4, 2]), RngStream(0), k=0)
+
+    @pytest.mark.parametrize("block_rows", [1, 4, None])
+    def test_matches_unblocked_reference_with_ties(self, monkeypatch, block_rows):
+        # 11 minority members on an integer grid, two of them repeated: many
+        # exact distance ties between distinct points, and 11 = 4 + 4 + 3
+        # leaves a ragged last block at 4 rows per block.
+        grid = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [1, 1, 0],
+                         [2, 0, 0], [0, 0, 1], [1, 0, 0], [0, 0, 0], [0, 2, 0]], dtype=float)
+        majority = RngStream(30).normal(size=(30, 3)) + 10.0
+        ds = D.Dataset(X=D.to_sequences(np.concatenate([majority, grid])),
+                       y=np.array([0] * 30 + [1] * 11, dtype=np.int64),
+                       codec=D.LabelCodec.fit(["maj", "min"]))
+        if block_rows is not None:
+            monkeypatch.setattr(D, "_NEIGHBOUR_BLOCK_CELLS", block_rows * grid.size)
+        for k in (1, 3, 5):
+            assert np.array_equal(D._nearest_neighbours(grid, k), reference_neighbours(grid, k))
+            out = D.smote_balance(ds, RngStream(31), k=k)
+            ref_X, ref_y = reference_smote(ds, RngStream(31), k)
+            assert_bit_identical(out.X, ref_X)
+            assert_bit_identical(out.y, ref_y)
+
+    def test_neighbour_search_memory_is_not_quadratic(self):
+        m, t = 400, 83
+        rng = RngStream(32)
+        X = np.concatenate([rng.normal(size=(m + 1, t)), rng.normal(size=(m, t)) + 3.0])
+        ds = D.Dataset(X=D.to_sequences(X), y=np.array([0] * (m + 1) + [1] * m, dtype=np.int64),
+                       codec=D.LabelCodec.fit(["a", "b"]))
+        tracemalloc.start()
+        try:
+            D.smote_balance(ds, RngStream(33))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole (m, m, T) broadcast is m^2 T 8 B = 106 MB
+        assert peak < m * m * t * 8 / 4
+
+
+def reference_neighbours(pts, k):
+    """Each row's k nearest other rows from the whole (m, m, T) broadcast."""
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def reference_smote(ds, rng, k):
+    """SMOTE with unblocked neighbours, drawing from rng as smote_balance
+    does (classes of one member are not handled)."""
+    counts = ds.class_counts()
+    feats = ds.features()
+    new_X, new_y = [ds.X], [ds.y]
+    for cls in range(ds.n_classes):
+        need = int(counts.max() - counts[cls])
+        if need <= 0:
+            continue
+        pts = feats[ds.y == cls]
+        k_eff = min(k, len(pts) - 1)
+        neigh = reference_neighbours(pts, k_eff)
+        base = rng.integers(0, len(pts), size=need)
+        pick = rng.integers(0, k_eff, size=need)
+        lam = rng.uniform(size=(need, 1))
+        x0 = pts[base]
+        new_X.append(D.to_sequences(x0 + lam * (pts[neigh[base, pick]] - x0)))
+        new_y.append(np.full(need, cls, dtype=np.int64))
+    return np.concatenate(new_X), np.concatenate(new_y)
 
 
 class TestSynthGenerate:

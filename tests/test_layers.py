@@ -348,6 +348,15 @@ class TestMha:
             check_layer_grads(p, lambda p_, x_: L.mha_self_forward(p_, x_, 2, 3),
                               L.mha_self_backward, x, rng)
 
+    def test_key_bias_gradient_is_rounding_noise(self):
+        # canonical block: d_model 128 (BiGRU64, both directions), 8 heads of 64
+        rng = RngStream(27)
+        p = with_noisy_biases(L.MhaParams.init(rng, 128, 8, 64), rng)
+        x = rng.normal(size=(2, 83, 128))
+        _, cache = L.mha_self_forward(p, x, 8, 64)
+        _, grads = L.mha_self_backward(p, cache, rng.normal(size=x.shape))
+        assert np.abs(grads.bk).max() <= 1e-10 * np.abs(grads.bq).max()
+
     def test_gradients_one_row_per_tile(self, monkeypatch):
         monkeypatch.setattr(L, "_TILE_ROWS", 1)
         rng = RngStream(26)
