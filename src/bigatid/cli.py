@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,8 @@ class _Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(exc, StageError):
+        # an interrupt or exit is not a stage failure and passes through as is
+        if isinstance(exc, Exception) and not isinstance(exc, StageError):
             raise StageError(self.name, exc) from exc
         return False
 
@@ -81,14 +82,7 @@ RUN_DEFAULTS: dict = {
     "smote_k": 5,
     "variant": 4,
     "dropout": None,
-    "learning_rate": 1e-3,
-    "batch_size": 128,
-    "epochs": 30,
-    "loss": "cce",
-    "focal_gamma": 2.0,
-    "focal_alpha": None,
-    "grad_clip": None,
-    "seed": 0,
+    **{f.name: f.default for f in fields(T.TrainConfig)},
     "out_dir": "runs",
     "bench_warmup": 1,
     "bench_repeats": 3,
@@ -109,29 +103,20 @@ class RunConfig:
     def echo(self) -> dict:
         return dict(self.values)
 
-    def train_config(self, epochs=None, seed=None) -> T.TrainConfig:
-        return T.TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            epochs=self.epochs if epochs is None else epochs,
-            loss=self.loss,
-            focal_gamma=self.focal_gamma,
-            focal_alpha=self.focal_alpha,
-            seed=self.seed if seed is None else seed,
-            grad_clip=self.grad_clip,
-        )
+    def train_config(self, seed=None) -> T.TrainConfig:
+        kwargs = {f.name: self.values[f.name] for f in fields(T.TrainConfig)}
+        if seed is not None:
+            kwargs["seed"] = seed
+        return T.TrainConfig(**kwargs)
 
 
-def merge_config(args: argparse.Namespace, extra_defaults: dict | None = None) -> RunConfig:
+def merge_config(args: argparse.Namespace) -> RunConfig:
     """defaults < config file < explicit flags; unknown file keys rejected."""
-    defaults = dict(RUN_DEFAULTS)
-    if extra_defaults:
-        defaults.update(extra_defaults)
+    merged = dict(RUN_DEFAULTS)
     if os.environ.get(OUT_DIR_ENV):
-        defaults["out_dir"] = os.environ[OUT_DIR_ENV]
+        merged["out_dir"] = os.environ[OUT_DIR_ENV]
     if os.environ.get(SEED_ENV):
-        defaults["seed"] = int(os.environ[SEED_ENV])
-    merged = dict(defaults)
+        merged["seed"] = int(os.environ[SEED_ENV])
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -147,12 +132,19 @@ def merge_config(args: argparse.Namespace, extra_defaults: dict | None = None) -
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             merged[key] = flag_val
-    if merged.get("synth_imbalance") is not None and isinstance(merged["synth_imbalance"], str):
+    if isinstance(merged["synth_imbalance"], str):
         merged["synth_imbalance"] = [float(v) for v in merged["synth_imbalance"].split(",")]
-    cfg = RunConfig(values=merged)
-    if "csv" in merged and bool(cfg.csv) == bool(cfg.synth):
+    if bool(merged["csv"]) == bool(merged["synth"]):
         raise ConfigError("exactly one data source required: pass --csv PATH or --synth")
-    return cfg
+    return RunConfig(values=merged)
+
+
+def _start(args) -> tuple[RunConfig, Path]:
+    """The merged config of a run and its output directory, created."""
+    cfg = merge_config(args)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, out_dir
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +201,18 @@ def balance_train(cfg: RunConfig, train_ds: D.Dataset, rng: RngStream,
         raise ConfigError(f"unknown balancing strategy {strategy!r}")
 
 
-def resolve_variant(cfg: RunConfig, seq_len: int, n_classes: int) -> MOD.Variant:
+def resolve_variant(vid: int, seq_len: int, n_classes: int,
+                    dropout: float | None = None) -> MOD.Variant:
+    """Ablation-table variant `vid`; `dropout` overrides variant 4's rate."""
     variants = {v.id: v for v in MOD.table5_variants(seq_len, n_classes)}
-    if cfg.variant not in variants:
-        raise ConfigError(f"variant must be 1..12, got {cfg.variant}")
-    v = variants[cfg.variant]
-    if cfg.dropout is not None:
-        if cfg.variant != 4:
-            raise ConfigError("--dropout override is only supported for variant 4")
-        v = MOD.Variant(4, f"(BiGRU64+MHA8)-LSTM32 d={cfg.dropout}",
-                        MOD.bigat_spec(seq_len, n_classes, dropout_rate=cfg.dropout))
-    return v
+    if vid not in variants:
+        raise ConfigError(f"variant must be 1..12, got {vid}")
+    if dropout is None:
+        return variants[vid]
+    if vid != 4:
+        raise ConfigError("--dropout override is only supported for variant 4")
+    return MOD.Variant(4, f"(BiGRU64+MHA8)-LSTM32 d={dropout}",
+                       MOD.bigat_spec(seq_len, n_classes, dropout_rate=dropout))
 
 
 def evaluate_model(params, spec, test_ds: D.Dataset, cfg: RunConfig) -> M.EvalReport:
@@ -256,15 +249,13 @@ def _write_roc_csvs(report: M.EvalReport, out_dir: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    cfg = merge_config(args)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _start(args)
     rng = RngStream(cfg.seed)
 
     ds = load_source_dataset(cfg, rng)
     train_ds, test_ds, scaler = split_and_scale(cfg, ds, rng)
     train_bal = balance_train(cfg, train_ds, rng)
-    variant = resolve_variant(cfg, ds.seq_len, ds.n_classes)
+    variant = resolve_variant(cfg.variant, ds.seq_len, ds.n_classes, cfg.dropout)
 
     t0 = time.perf_counter()
     with _Stage("train"):
@@ -315,9 +306,7 @@ def _checkpoint_run(args):
     directory, the checkpoint, and the configured dataset prepared the way
     the checkpoint's training data was (label codec, feature count, scaler).
     Returns (cfg, out_dir, params, spec, ds)."""
-    cfg = merge_config(args)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _start(args)
     with _Stage("checkpoint"):
         params, spec, metadata = MOD.load(args.checkpoint)
         codec = D.LabelCodec.from_dict(metadata["codec"])
@@ -352,9 +341,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = merge_config(args)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _start(args)
     rng = RngStream(cfg.seed)
 
     ds = load_source_dataset(cfg, rng)
@@ -406,9 +393,7 @@ def _remap(ds: D.Dataset, new_codec: D.LabelCodec) -> D.Dataset:
 
 
 def cmd_loao(args) -> int:
-    cfg = merge_config(args)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _start(args)
     rng = RngStream(cfg.seed)
 
     ds = load_source_dataset(cfg, rng)
@@ -442,7 +427,8 @@ def cmd_loao(args) -> int:
         te_holdout = test_ds.subset(test_ds.y == held_idx)
 
         tr_bal = balance_train(cfg, tr, rng.spawn(10 + fold))
-        variant = resolve_variant(cfg, ds.seq_len, retained_codec.n_classes)
+        variant = resolve_variant(cfg.variant, ds.seq_len, retained_codec.n_classes,
+                                  cfg.dropout)
         seed_f = derive_seed(cfg.seed, 100 + fold)
         with _Stage("train"):
             params, _hist = T.train(variant.spec, tr_bal, te_retained,
@@ -506,9 +492,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = merge_config(args)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, out_dir = _start(args)
     ds = load_source_dataset(cfg, RngStream(cfg.seed))
     csv_path = Path(args.out) if args.out else out_dir / "synth.csv"
     sidecar = csv_path.with_suffix(".sidecar.json")
@@ -525,11 +509,8 @@ def cmd_inspect(args) -> int:
             _params, spec, metadata = MOD.load(args.checkpoint)
         label = metadata.get("variant_label", "?")
     else:
-        variants = {v.id: v for v in MOD.table5_variants(args.seq_len, args.classes)}
-        if args.variant not in variants:
-            raise ConfigError(f"variant must be 1..12, got {args.variant}")
-        spec = variants[args.variant].spec
-        label = variants[args.variant].label
+        variant = resolve_variant(args.variant, args.seq_len, args.classes)
+        spec, label = variant.spec, variant.label
     print(f"variant: {label}")
     print(MOD.format_inspect_table(spec))
     if args.json:
@@ -566,7 +547,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--loss", choices=["cce", "focal"])
+    p.add_argument("--loss", choices=T.LOSS_KINDS)
     p.add_argument("--focal-gamma", dest="focal_gamma", type=float)
     p.add_argument("--grad-clip", dest="grad_clip", type=float)
 
@@ -606,8 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="Shapley attribution for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     _add_data_flags(p)
-    p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--permutations", type=int, default=2000)
+    p.add_argument("--instances", type=int, default=E.ShapleySettings.n_instances)
+    p.add_argument("--permutations", type=int, default=E.ShapleySettings.n_permutations)
     p.add_argument("--top-k", dest="top_k", type=int, default=10)
     p.set_defaults(func=cmd_explain)
 
@@ -640,10 +621,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, StageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MOD.CheckpointError, MOD.ConstructionError, D.DataError) as exc:
+    except (ConfigError, StageError, MOD.CheckpointError, MOD.ConstructionError,
+            D.DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -486,10 +486,9 @@ def synth_generate(c: int, n_per_class: int, seq_len: int, separation: float,
 # persistence
 # ---------------------------------------------------------------------------
 
-def save_dataset_csv(ds: Dataset, csv_path, sidecar_path=None,
-                     scaler: ScalerParams | None = None) -> None:
+def save_dataset_csv(ds: Dataset, csv_path, sidecar_path=None) -> None:
     """Write features as f0..f{T-1} plus a Label column; the JSON sidecar
-    carries the codec (and scaler parameters when given)."""
+    carries the codec."""
     feats = ds.features()
     t = feats.shape[1]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -499,8 +498,5 @@ def save_dataset_csv(ds: Dataset, csv_path, sidecar_path=None,
             writer.writerow([repr(float(v)) for v in feats[i]]
                             + [ds.codec.from_index(int(ds.y[i]))])
     if sidecar_path is not None:
-        sidecar = {"codec": ds.codec.to_dict()}
-        if scaler is not None:
-            sidecar["scaler"] = scaler.to_dict()
         with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
+            json.dump({"codec": ds.codec.to_dict()}, fh, indent=2)

@@ -711,8 +711,9 @@ def save(params: dict, spec: VariantSpec, metadata: dict, path, dtype: str = "f6
 
 def load(path):
     """Read a checkpoint back: returns (params in f64, VariantSpec, metadata).
-    Distinct errors for bad magic, unsupported version, truncation, and
-    per-tensor checksum failures."""
+    Distinct errors for bad magic, unsupported version, truncation or a
+    malformed header, and per-tensor checksum failures, all CheckpointError
+    subclasses."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16:
@@ -725,30 +726,36 @@ def load(path):
     hlen = int.from_bytes(blob[8:16], "little")
     if len(blob) < 16 + hlen:
         raise CheckpointFormatError("checkpoint truncated: incomplete header")
+    # every header field comes from the file: any type or value may be wrong
     try:
         header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise CheckpointFormatError(f"malformed checkpoint header: a JSON "
+                                        f"{type(header).__name__}, not an object")
         spec = VariantSpec.from_dict(header["spec"])
-        manifest = header["tensors"]
+        manifest = [(m["name"], tuple(m["shape"]), m["crc32"]) for m in header["tensors"]]
         np_dtype = _DTYPES[header["dtype"]]
         metadata = header["metadata"]
-    except (ValueError, KeyError) as exc:
+        expected = param_manifest(spec)  # ConstructionError is a ValueError
+    except KeyError as exc:
+        raise CheckpointFormatError(f"malformed checkpoint header: missing or unknown "
+                                    f"key {exc}") from exc
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint header: {exc}") from exc
 
-    expected = param_manifest(spec)
-    if [(m["name"], tuple(m["shape"])) for m in manifest] != expected:
+    if [(name, shape) for name, shape, _crc in manifest] != expected:
         raise CheckpointFormatError("tensor manifest does not match the stored variant spec")
 
     params: dict[str, np.ndarray] = {}
     offset = 16 + hlen
-    for entry in manifest:
-        shape = tuple(entry["shape"])
+    for name, shape, crc in manifest:
         nbytes = int(np.prod(shape)) * np_dtype.itemsize
         raw = blob[offset:offset + nbytes]
         if len(raw) != nbytes:
-            raise CheckpointFormatError(f"checkpoint truncated inside tensor {entry['name']!r}")
-        if (zlib.crc32(raw) & 0xFFFFFFFF) != entry["crc32"]:
-            raise CheckpointChecksumError(f"checksum mismatch for tensor {entry['name']!r}")
-        params[entry["name"]] = np.frombuffer(raw, dtype=np_dtype).reshape(shape).astype(np.float64)
+            raise CheckpointFormatError(f"checkpoint truncated inside tensor {name!r}")
+        if (zlib.crc32(raw) & 0xFFFFFFFF) != crc:
+            raise CheckpointChecksumError(f"checksum mismatch for tensor {name!r}")
+        params[name] = np.frombuffer(raw, dtype=np_dtype).reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(blob):
         raise CheckpointFormatError("checkpoint has trailing bytes after the last tensor")

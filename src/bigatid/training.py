@@ -30,8 +30,8 @@ class TrainConfig:
     loss: str = "cce"
     focal_gamma: float = 2.0
     focal_alpha: list[float] | None = None
-    seed: int = 0
     grad_clip: float | None = None
+    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:

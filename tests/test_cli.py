@@ -2,9 +2,10 @@ import argparse
 import json
 
 import numpy as np
+import pytest
 
 from conftest import tiny_bigat_spec
-from bigatid import cli, data as D, model as MOD
+from bigatid import cli, data as D, model as MOD, training as T
 from bigatid.cli import RUN_DEFAULTS, RunConfig, build_parser, derive_seed, main
 from bigatid.model import build, load, predict
 from bigatid.numerics import RngStream
@@ -310,6 +311,29 @@ class TestAblate:
         assert csv_lines[0] == \
             "variant,label,canonical,param_total,setting,status,accuracy,loss,fpr"
         assert len(csv_lines) == 25
+
+
+class TestRunConfig:
+    def test_config_echo_layout(self):
+        # every report echoes the config in this key order
+        assert list(RUN_DEFAULTS) == [
+            "csv", "synth", "label_column", "synth_classes", "synth_per_class",
+            "synth_seq_len", "synth_separation", "synth_imbalance", "train_frac", "scale",
+            "balancing", "smote_k", "variant", "dropout", "learning_rate", "batch_size",
+            "epochs", "loss", "focal_gamma", "focal_alpha", "grad_clip", "seed",
+            "out_dir", "bench_warmup", "bench_repeats", "normal_class"]
+
+    def test_training_defaults_are_train_configs(self):
+        assert RunConfig(dict(RUN_DEFAULTS)).train_config() == T.TrainConfig()
+
+
+class TestStage:
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(3)])
+    def test_interrupt_and_exit_pass_through_unchanged(self, exc):
+        with pytest.raises(type(exc)) as info:
+            with cli._Stage("train"):
+                raise exc
+        assert info.value is exc
 
 
 class TestSeedDerivation:

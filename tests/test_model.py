@@ -1,15 +1,18 @@
 import collections
 import dataclasses
+import json
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import shrink_variant, tiny_bigat_spec
 from bigatid import layers as L
 from bigatid.model import (
     BlockSpec,
     CheckpointChecksumError,
+    CheckpointError,
     CheckpointFormatError,
     CheckpointVersionError,
     ConstructionError,
@@ -330,11 +333,54 @@ class TestInspect:
         assert sum(r["params"] for r in table["rows"]) == table["total_params"]
 
 
+def _renamed_tensor_key(key):
+    def edit(header):
+        entry = header["tensors"][0]
+        entry[key + "_"] = entry.pop(key)
+        return header
+    return edit
+
+
+def _set(value, *path):
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return header
+    return edit
+
+
+# (edit of the decoded JSON header, or raw header bytes; text the error names)
+MALFORMED_HEADERS = [
+    pytest.param(_renamed_tensor_key("crc32"), "crc32", id="crc32-key-renamed"),
+    pytest.param(_renamed_tensor_key("shape"), "shape", id="shape-key-renamed"),
+    pytest.param(lambda header: [header], "JSON list", id="header-is-a-list"),
+    pytest.param(_set(0, "spec", "branches", 0, 2, "heads"), "heads", id="mha-heads-0"),
+    pytest.param(_set(0, "spec", "branches", 0, 0, "units"), "units", id="bigru-units-0"),
+    pytest.param(_set(float("inf"), "spec", "seq_len"), "infinity", id="seq-len-infinite"),
+    pytest.param(lambda header: b"[" * 100_000, "recursion", id="nested-too-deep"),
+]
+
+
 class TestCheckpoint:
     def make_model(self):
         spec = tiny_bigat_spec(dropout=0.5)
         params = build(spec, RngStream(77))
         return params, spec
+
+    @pytest.mark.parametrize("edit, cause", MALFORMED_HEADERS)
+    def test_malformed_header_is_a_format_error(self, tmp_path, edit, cause):
+        params, spec = self.make_model()
+        path = tmp_path / "m.bgid"
+        save(params, spec, {}, path)
+        blob = path.read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        header = edit(json.loads(blob[16:16 + hlen]))
+        raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+        path.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + hlen:])
+        with pytest.raises(CheckpointFormatError, match=cause):
+            load(path)
 
     def test_round_trip_bit_identical_predictions(self, tmp_path):
         params, spec = self.make_model()
@@ -411,4 +457,41 @@ class TestCheckpoint:
         save(params, spec, {}, path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CheckpointFormatError, match="trailing"):
+            load(path)
+
+
+class TestCheckpointFuzz:
+    """One small checkpoint with one byte replaced or the file cut short:
+    `load` returns or raises a CheckpointError, never anything else."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        params, spec = TestCheckpoint().make_model()
+        path = tmp_path_factory.mktemp("fuzz") / "m.bgid"
+        save(params, spec, {"note": "fuzz"}, path)
+        return path, path.read_bytes()
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(data=st.data())
+    def test_one_replaced_byte(self, checkpoint, data):
+        path, blob = checkpoint
+        header_end = 16 + int.from_bytes(blob[8:16], "little")
+        # half the draws land in the magic, version, length or JSON header
+        offset = data.draw(st.integers(0, header_end - 1) | st.integers(0, len(blob) - 1))
+        mutated = bytearray(blob)
+        mutated[offset] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(mutated))
+        try:
+            load(path)
+        except CheckpointError:
+            return
+        # CRC32 catches every single-byte error, so only a header edit loads
+        assert offset < header_end
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_truncated_file_always_raises(self, checkpoint, data):
+        path, blob = checkpoint
+        path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(CheckpointError):
             load(path)
