@@ -116,7 +116,11 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     if os.environ.get(OUT_DIR_ENV):
         merged["out_dir"] = os.environ[OUT_DIR_ENV]
     if os.environ.get(SEED_ENV):
-        merged["seed"] = int(os.environ[SEED_ENV])
+        try:
+            merged["seed"] = int(os.environ[SEED_ENV])
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV} must be an integer, got "
+                              f"{os.environ[SEED_ENV]!r}") from None
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -124,9 +128,18 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
                 file_cfg = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {config_path} must hold a JSON object")
         unknown = set(file_cfg) - set(merged)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            # an unset default takes any type; a float takes an int, never a bool
+            want = RUN_DEFAULTS[key]
+            if not (want is None or type(value) is type(want)
+                    or type(want) is float and type(value) is int):
+                raise ConfigError(f"config file {config_path}: {key} must be of type "
+                                  f"{type(want).__name__}, got {value!r}")
         merged.update(file_cfg)
     for key in merged:
         flag_val = getattr(args, key, None)
@@ -309,6 +322,9 @@ def _checkpoint_run(args):
     cfg, out_dir = _start(args)
     with _Stage("checkpoint"):
         params, spec, metadata = MOD.load(args.checkpoint)
+        if not isinstance(metadata, dict) or "codec" not in metadata:
+            raise MOD.CheckpointFormatError(f"checkpoint {args.checkpoint} has no label "
+                                            "codec: its metadata lacks 'codec'")
         codec = D.LabelCodec.from_dict(metadata["codec"])
         scaler = (None if metadata.get("scaler") is None
                   else D.ScalerParams.from_dict(metadata["scaler"]))

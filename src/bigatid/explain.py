@@ -22,13 +22,14 @@ from .numerics import RngStream
 from .training import batched_probs
 
 EXACT_FEATURE_CAP = 12
+BATCH_ROWS = 2048  # feature rows per batched model evaluation
 
 
 @dataclass
 class ShapleySettings:
     n_instances: int = 200
     n_permutations: int = 2000
-    batch_size: int = 2048
+    batch_size: int = BATCH_ROWS
 
 
 @dataclass
@@ -110,7 +111,7 @@ def shapley_exact_small(f, x: np.ndarray, background_mean: np.ndarray) -> np.nda
 
 def shapley_permutation(f, x: np.ndarray, background_mean: np.ndarray,
                         n_permutations: int, rng: RngStream,
-                        batch_size: int = 2048) -> np.ndarray:
+                        batch_size: int = BATCH_ROWS) -> np.ndarray:
     """Monte Carlo permutation estimator, unbiased for the exact values under
     the background-mean replacement scheme.
 
@@ -142,7 +143,7 @@ def shapley_permutation(f, x: np.ndarray, background_mean: np.ndarray,
     return totals[:, 0] if totals.shape[1] == 1 else totals
 
 
-def model_value_fn(params: dict, spec: VariantSpec, batch_size: int = 2048):
+def model_value_fn(params: dict, spec: VariantSpec, batch_size: int = BATCH_ROWS):
     """Wrap the model as a batched feature-row function: (k, T) -> (k, c)
     eval-mode class probabilities."""
     def f(rows: np.ndarray) -> np.ndarray:

@@ -57,10 +57,6 @@ class DenseParams:
     def init(cls, rng: RngStream, fan_in: int, fan_out: int) -> "DenseParams":
         return cls(W=glorot_uniform(rng, fan_in, fan_out), b=np.zeros(fan_out))
 
-    def tensors(self):
-        return [("W", self.W), ("b", self.b)]
-
-
 
 @dataclass
 class LayerNormParams:
@@ -70,10 +66,6 @@ class LayerNormParams:
     @classmethod
     def init(cls, d: int) -> "LayerNormParams":
         return cls(gamma=np.ones(d), beta=np.zeros(d))
-
-    def tensors(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
 
 
 @dataclass
@@ -103,11 +95,6 @@ class GruParams:
     def units(self) -> int:
         return self.W_rec.shape[0]
 
-    def tensors(self):
-        return [("W_in", self.W_in), ("W_rec", self.W_rec),
-                ("b_in", self.b_in), ("b_rec", self.b_rec)]
-
-
 
 @dataclass
 class LstmParams:
@@ -125,10 +112,6 @@ class LstmParams:
     @property
     def units(self) -> int:
         return self.W_rec.shape[0]
-
-    def tensors(self):
-        return [("W_in", self.W_in), ("W_rec", self.W_rec), ("b", self.b)]
-
 
 
 @dataclass
@@ -153,11 +136,6 @@ class MhaParams:
             Wv=glorot_uniform(rng, d_model, hd), bv=np.zeros(hd),
             Wo=glorot_uniform(rng, hd, d_model), bo=np.zeros(d_model),
         )
-
-    def tensors(self):
-        return [("Wq", self.Wq), ("bq", self.bq), ("Wk", self.Wk), ("bk", self.bk),
-                ("Wv", self.Wv), ("bv", self.bv), ("Wo", self.Wo), ("bo", self.bo)]
-
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +192,10 @@ def time_dense_backward(p: DenseParams, cache, dy: np.ndarray):
 # layer norm
 # ---------------------------------------------------------------------------
 
-def layer_norm_forward(p: LayerNormParams, x: np.ndarray, eps: float = 1e-3):
+LN_EPS = 1e-3  # the variance floor of every layer norm in the model (Keras's default)
+
+
+def layer_norm_forward(p: LayerNormParams, x: np.ndarray, eps: float = LN_EPS):
     xhat = x - x.mean(axis=-1, keepdims=True)
     y = np.square(xhat)
     inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)

@@ -67,12 +67,12 @@ class CheckpointChecksumError(CheckpointError):
 
 def _tensors(prefix: str, obj) -> dict[str, np.ndarray]:
     """A *Params dataclass as flat-dict entries named `prefix.field`."""
-    return {f"{prefix}.{suffix}": arr for suffix, arr in obj.tensors()}
+    return {f"{prefix}.{f.name}": getattr(obj, f.name) for f in fields(obj)}
 
 
 class _Kind:
-    """Everything about one block kind. `forward(node, params, h, train, rng,
-    spec)` returns (output, cache); `backward(node, params, cache, d, grads)`
+    """Everything about one block kind. `forward(node, params, h, train, rng)`
+    returns (output, cache); `backward(node, params, cache, d, grads)`
     adds the parameter gradients to `grads` and returns the input gradient.
     The default backward hands the kind's parameter view to its `grad(p,
     cache, d)`. Layer functions are looked up on the `layers` module at call
@@ -83,7 +83,7 @@ class _Kind:
     needs_seq = False                  # requires a (b, T, d) input
     params_cls = None                  # the layers.*Params dataclass of its weights
 
-    def check(self, blk: BlockSpec, name: str, spec: VariantSpec) -> None:
+    def check(self, blk: BlockSpec, name: str) -> None:
         pass
 
     def out(self, blk: BlockSpec, width: int, is_seq: bool) -> tuple[int, bool]:
@@ -123,7 +123,7 @@ class _Units(_Kind):
     width_per_unit = 1
     seq_out = True
 
-    def check(self, blk, name, spec):
+    def check(self, blk, name):
         if blk.units < 1:
             raise ConstructionError(f"{name}: units must be positive, got {blk.units}")
 
@@ -147,7 +147,7 @@ class _BiGru(_Units):
         bwd = GruParams.init(rng, node.in_width, node.block.units)
         return {**_tensors(f"{node.name}.fwd", fwd), **_tensors(f"{node.name}.bwd", bwd)}
 
-    def forward(self, node, params, h, train, rng, spec):
+    def forward(self, node, params, h, train, rng):
         return layers.bigru_forward(self.view(params, f"{node.name}.fwd"),
                                     self.view(params, f"{node.name}.bwd"), h, train=train)
 
@@ -173,7 +173,7 @@ class _Lstm(_Units):
     def init(self, node, rng):
         return _tensors(node.name, LstmParams.init(rng, node.in_width, node.block.units))
 
-    def forward(self, node, params, h, train, rng, spec):
+    def forward(self, node, params, h, train, rng):
         return layers.lstm_last_forward(self.view(params, node.name), h, train=train)
 
     def grad(self, p, cache, d):
@@ -186,7 +186,7 @@ class _LstmSeq(_Lstm):
     display = "LSTM(seq)"
     seq_out = True
 
-    def forward(self, node, params, h, train, rng, spec):
+    def forward(self, node, params, h, train, rng):
         return layers.lstm_sequence_forward(self.view(params, node.name), h, train=train)
 
     def grad(self, p, cache, d):
@@ -199,7 +199,7 @@ class _Mha(_Kind):
     needs_seq = True
     params_cls = MhaParams
 
-    def check(self, blk, name, spec):
+    def check(self, blk, name):
         if blk.heads < 1 or blk.key_dim < 1:
             raise ConstructionError(f"{name}: heads and key_dim must be positive")
 
@@ -212,7 +212,7 @@ class _Mha(_Kind):
         return _tensors(node.name, MhaParams.init(rng, node.in_width, node.block.heads,
                                                   node.block.key_dim))
 
-    def forward(self, node, params, h, train, rng, spec):
+    def forward(self, node, params, h, train, rng):
         return layers.mha_self_forward(self.view(params, node.name), h,
                                        node.block.heads, node.block.key_dim, train=train)
 
@@ -224,18 +224,14 @@ class _LayerNorm(_Kind):
     display = "LayerNorm"
     params_cls = LayerNormParams
 
-    def check(self, blk, name, spec):
-        if not spec.ln_eps > 0:
-            raise ConstructionError(f"{name}: ln_eps must be positive, got {spec.ln_eps}")
-
     def param_specs(self, node):
         return [("gamma", (node.in_width,)), ("beta", (node.in_width,))]
 
     def init(self, node, rng):
         return _tensors(node.name, LayerNormParams.init(node.in_width))
 
-    def forward(self, node, params, h, train, rng, spec):
-        return layers.layer_norm_forward(self.view(params, node.name), h, eps=spec.ln_eps)
+    def forward(self, node, params, h, train, rng):
+        return layers.layer_norm_forward(self.view(params, node.name), h)
 
     def grad(self, p, cache, d):
         return layers.layer_norm_backward(p, cache, d)
@@ -245,11 +241,11 @@ class _Dropout(_Kind):
     display = "Dropout"
     spec_fields = ("rate",)
 
-    def check(self, blk, name, spec):
+    def check(self, blk, name):
         if not 0.0 <= blk.rate < 1.0:
             raise ConstructionError(f"{name}: dropout rate must be in [0, 1)")
 
-    def forward(self, node, params, h, train, rng, spec):
+    def forward(self, node, params, h, train, rng):
         # the cache is the mask, None in eval
         return layers.dropout_apply(h, node.block.rate, "train" if train else "eval", rng)
 
@@ -272,7 +268,7 @@ class _Dense(_Kind):
     def init(self, node, rng):
         return _tensors(node.name, DenseParams.init(rng, node.in_width, node.out_width))
 
-    def forward(self, node, params, h, train, rng, spec):
+    def forward(self, node, params, h, train, rng):
         return layers.dense_forward(self.view(params, node.name), h, act=self.act)
 
     def grad(self, p, cache, d):
@@ -290,7 +286,7 @@ class _Proj(_Units):
     param_specs = _Dense.param_specs
     init = _Dense.init
 
-    def forward(self, node, params, h, train, rng, spec):
+    def forward(self, node, params, h, train, rng):
         return layers.time_dense_forward(self.view(params, node.name), h)
 
     def grad(self, p, cache, d):
@@ -302,7 +298,7 @@ class _Flatten(_Kind):
 
     display = "Flatten"
 
-    def forward(self, node, params, h, train, rng, spec):
+    def forward(self, node, params, h, train, rng):
         return layers.flatten(h), h.shape
 
     def backward(self, node, params, shape, d, grads):
@@ -312,8 +308,6 @@ class _Flatten(_Kind):
 _BLOCKS = {"bigru": _BiGru(), "lstm": _Lstm(), "lstm_seq": _LstmSeq(), "mha": _Mha(),
            "layer_norm": _LayerNorm(), "dropout": _Dropout(), "proj": _Proj()}
 _FLATTEN, _HIDDEN, _OUTPUT = _Flatten(), _Dense("relu"), _Dense("softmax")
-
-BLOCK_KINDS = tuple(_BLOCKS)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +348,7 @@ class BlockSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockSpec":
-        return cls(kind=d["kind"], units=d.get("units", 0), heads=d.get("heads", 0),
-                   key_dim=d.get("key_dim", 0), rate=d.get("rate", 0.0))
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -366,11 +359,12 @@ class VariantSpec:
     n_classes: int
     branches: tuple[tuple[BlockSpec, ...], ...]
     head: tuple[int, ...] = (64, 32)
-    ln_eps: float = 1e-3
 
     def __post_init__(self):
-        if not isinstance(self.seq_len, (int, np.integer)):
-            raise ConstructionError(f"seq_len must be an integer, got {self.seq_len!r}")
+        for name in ("seq_len", "n_classes"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConstructionError(f"{name} must be an integer, got "
+                                        f"{getattr(self, name)!r}")
         if not all(isinstance(w, (int, np.integer)) for w in self.head):
             raise ConstructionError(f"head widths must be integers, got {self.head}")
         if self.seq_len < 1:
@@ -386,18 +380,20 @@ class VariantSpec:
             "n_classes": self.n_classes,
             "branches": [[b.to_dict() for b in branch] for branch in self.branches],
             "head": list(self.head),
-            "ln_eps": self.ln_eps,
+            "ln_eps": layers.LN_EPS,  # fixed, but still recorded: the header format is unchanged
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "VariantSpec":
-        return cls(
+        spec = cls(
             seq_len=int(d["seq_len"]),
             n_classes=int(d["n_classes"]),
             branches=tuple(tuple(BlockSpec.from_dict(b) for b in br) for br in d["branches"]),
             head=tuple(int(w) for w in d["head"]),
-            ln_eps=float(d.get("ln_eps", 1e-3)),
         )
+        if d.get("ln_eps", layers.LN_EPS) != layers.LN_EPS:
+            raise ConstructionError(f"ln_eps must be {layers.LN_EPS}, got {d['ln_eps']!r}")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -449,8 +445,8 @@ def table5_variants(seq_len: int, n_classes: int) -> list[Variant]:
     projection of twice the units of the recurrent block that follows."""
     r = 0.5
 
-    def make(vid, label, branches, head=(64, 32)):
-        return Variant(vid, label, VariantSpec(seq_len, n_classes, branches, head=head))
+    def make(vid, label, branches):
+        return Variant(vid, label, VariantSpec(seq_len, n_classes, branches))
 
     return [
         make(1, "BiGRU64+MHA8", (_recurrent_mha_branch(64, 8, 64, r),)),
@@ -506,7 +502,7 @@ def _compile_branch(spec: VariantSpec, bi: int, branch: tuple[BlockSpec, ...]) -
         if kind.needs_seq and not is_seq:
             raise ConstructionError(f"{name}: requires a sequence input but the branch "
                                     "already collapsed to a vector")
-        kind.check(blk, name, spec)
+        kind.check(blk, name)
         out, seq_out = kind.out(blk, width, is_seq)
         nodes.append(_Node(name, kind, blk, width, out, seq_out))
         width, is_seq = out, seq_out
@@ -576,7 +572,7 @@ def forward(params: dict, spec: VariantSpec, x: np.ndarray, mode: str = "eval",
     def run(nodes, h):
         caches = []
         for node in nodes:
-            h, c = node.kind.forward(node, params, h, train, rng, spec)
+            h, c = node.kind.forward(node, params, h, train, rng)
             if train:
                 caches.append(c)
             if trace is not None:

@@ -132,14 +132,14 @@ def loss_fn_for(cfg: TrainConfig, n_classes: int):
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7  # Keras's defaults
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
     @classmethod
     def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -155,9 +155,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
         raise ValueError(f"adam_step: parameter/gradient name sets differ: {sorted(missing)[:4]}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1 ** t
-    corr2 = 1.0 - b2 ** t
+    corr1 = 1.0 - ADAM_BETA1 ** t
+    corr2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -165,11 +164,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
                              f"shape {p.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
     return params, state
 
 

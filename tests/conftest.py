@@ -44,7 +44,6 @@ def shrink_variant(spec: VariantSpec) -> VariantSpec:
         n_classes=3,
         branches=tuple(tuple(shrink_block(b) for b in br) for br in spec.branches),
         head=(6, 4),
-        ln_eps=spec.ln_eps,
     )
 
 
@@ -61,7 +60,7 @@ def check_layer_grads(p, forward_fn, backward_fn, x, rng, fields=None, tol=GRAD_
         return float((out * dy).sum())
 
     worst = grad_mismatch(dx, finite_diff_grad(lambda v: scalar_for(p, v), x))
-    for fld in (fields or [name for name, _ in p.tensors()]):
+    for fld in (fields or [f.name for f in dataclasses.fields(p)]):
         def f(t, fld=fld):
             return scalar_for(dataclasses.replace(p, **{fld.split(".")[-1]: t}), x)
         worst = max(worst, grad_mismatch(

@@ -98,6 +98,28 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("epochs", "2"), ("synth", 1),
+                                            ("learning_rate", True)])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": True, key: value}))
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: {key} must be of type" in err
+        assert not (tmp_path / "run_report.json").exists()
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(["synth"]))
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    def test_config_int_accepted_for_float(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": True, "learning_rate": 1}))
+        args = build_parser().parse_args(["train", "--config", str(cfg_path)])
+        assert cli.merge_config(args).learning_rate == 1
+
     def test_unknown_balancing_in_config_rejected(self, tmp_path, capsys):
         # argparse `choices` guards the flag; the config file goes through
         # the balance stage's own check
@@ -171,6 +193,17 @@ class TestEvaluate:
                    "--seed", "5", "--out-dir", str(tmp_path / "ev")])
         assert rc == 1
         assert "checksum" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain", "bench"])
+    def test_checkpoint_without_codec_rejected(self, tmp_path, capsys, command):
+        spec = tiny_bigat_spec()
+        ckpt = tmp_path / "no_codec.bgid"
+        MOD.save(build(spec, RngStream(0)), spec, {}, ckpt)
+        rc = main([command, "--checkpoint", str(ckpt), "--synth", *SMALL,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'codec'" in err
 
 
 class TestEvaluateModel:
@@ -350,6 +383,11 @@ class TestEnvironmentVariables:
         assert rc == 0
         report = json.loads((tmp_path / "envout" / "run_report.json").read_text())
         assert report["config"]["seed"] == 9
+
+    def test_non_integer_seed_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BIGATID_SEED", "abc")
+        assert main(["train", "--synth", "--out-dir", str(tmp_path)]) == 1
+        assert "BIGATID_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_flags_override_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIGATID_OUT_DIR", str(tmp_path / "envout"))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_bigat_spec
 from bigatid import data as D
@@ -120,6 +121,23 @@ class TestPermutationEstimator:
         values = shapley_permutation(surrogate_8, x, bg, 40, rng.spawn(1))
         gap = surrogate_8(x[None])[0] - surrogate_8(bg[None])[0]
         assert abs(values.sum() - gap) < 1e-9
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(m=st.integers(1, 8), outputs=st.integers(1, 3), n_perm=st.integers(1, 20),
+           batch_size=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_efficiency_at_random_small_m(self, m, outputs, n_perm, batch_size, seed):
+        # the values of any permutation sample, in any chunking, sum to f(x) - f(bg)
+        rng = RngStream(seed)
+        a, b = rng.normal(size=(m, 4)), rng.normal(size=(4, outputs))
+
+        def f(rows):
+            out = np.tanh(np.atleast_2d(rows) @ a) ** 2 @ b
+            return out[:, 0] if outputs == 1 else out
+        x, bg = rng.normal(size=m), rng.normal(size=m)
+        values = shapley_permutation(f, x, bg, n_perm, rng.spawn(1), batch_size=batch_size)
+        assert values.shape == ((m,) if outputs == 1 else (m, outputs))
+        gap = f(x[None])[0] - f(bg[None])[0]
+        assert np.abs(values.sum(axis=0) - gap).max() < 1e-9
 
     def test_matches_exact_within_one_percent_of_gap(self):
         rng = RngStream(4)

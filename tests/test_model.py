@@ -228,13 +228,6 @@ class TestConstructionErrors:
         with pytest.raises(ConstructionError, match=f"branch1.0_{kind}: units"):
             build(spec, RngStream(0))
 
-    def test_ln_eps_must_be_positive(self):
-        # a zero eps turns a constant input into 0/0 in the layer norm
-        for eps in (0.0, -1e-3, float("nan")):
-            spec = dataclasses.replace(tiny_bigat_spec(), ln_eps=eps)
-            with pytest.raises(ConstructionError, match="branch1.1_layer_norm: ln_eps"):
-                predict(build(spec, RngStream(0)), spec, np.full((2, 6, 1), 0.5))
-
     @pytest.mark.parametrize("kwargs, field", [
         ({"seq_len": 0}, "seq_len"),
         ({"n_classes": 1}, "n_classes"),
@@ -243,6 +236,7 @@ class TestConstructionErrors:
         ({"head": (8, -1)}, "head"),
         ({"seq_len": 5.5}, "seq_len"),
         ({"head": (2.5,)}, "head"),
+        ({"n_classes": 3.0}, "n_classes"),
     ])
     def test_variant_fields_checked(self, kwargs, field):
         # head=(0,) used to build a model that predicts 1/3 for every class
@@ -360,6 +354,10 @@ MALFORMED_HEADERS = [
     pytest.param(_set(0, "spec", "branches", 0, 0, "units"), "units", id="bigru-units-0"),
     pytest.param(_set(float("inf"), "spec", "seq_len"), "infinity", id="seq-len-infinite"),
     pytest.param(lambda header: b"[" * 100_000, "recursion", id="nested-too-deep"),
+    # the layer norm's eps is fixed: a header may only restate it
+    *(pytest.param(_set(eps, "spec", "ln_eps"), "ln_eps", id=f"ln-eps-{eps}")
+      for eps in (0.0, -1e-3, float("nan"), 1e-5, "abc")),
+    pytest.param(_set(1, "spec", "branches", 0, 0, "colour"), "colour", id="block-unknown-key"),
 ]
 
 
@@ -393,6 +391,22 @@ class TestCheckpoint:
         assert spec2 == spec
         after = predict(loaded, spec2, x)
         assert np.array_equal(before, after)
+
+    def test_header_records_ln_eps_and_loads_without_it(self, tmp_path):
+        params, spec = self.make_model()
+        path = tmp_path / "m.bgid"
+        save(params, spec, {}, path)
+        blob = path.read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + hlen])
+        assert header["spec"]["ln_eps"] == L.LN_EPS == 1e-3
+        del header["spec"]["ln_eps"]
+        raw = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + hlen:])
+        loaded, spec2, _ = load(path)
+        x = RngStream(79).normal(size=(3, 6, 1))
+        assert spec2 == spec
+        assert np.array_equal(predict(loaded, spec2, x), predict(params, spec, x))
 
     def test_f32_round_trip_close_and_stable(self, tmp_path):
         params, spec = self.make_model()
