@@ -480,9 +480,12 @@ def cmd_loao(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    try:
+        settings = E.ShapleySettings(n_instances=args.instances,
+                                     n_permutations=args.permutations)
+    except ValueError as exc:
+        raise ConfigError(f"explain: {exc}") from exc
     cfg, out_dir, params, spec, ds = _checkpoint_run(args)
-    settings = E.ShapleySettings(n_instances=args.instances,
-                                 n_permutations=args.permutations)
     rng = RngStream(cfg.seed).spawn(7)
     with _Stage("attribution"):
         attribution = E.attribution_summary(params, spec, ds, settings, rng)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,11 @@ from .training import batched_probs
 
 EXACT_FEATURE_CAP = 12
 BATCH_ROWS = 2048  # feature rows per batched model evaluation
+# The model sees row counts rounded up to a multiple of ROW_QUANTUM (within
+# the batch size). The number of distinct coalitions varies by a few rows
+# from instance to instance; unrounded, every forward asks for buffers of a
+# new size, and glibc's heap keeps the freed ones resident.
+ROW_QUANTUM = 128
 
 
 @dataclass
@@ -30,6 +35,13 @@ class ShapleySettings:
     n_instances: int = 200
     n_permutations: int = 2000
     batch_size: int = BATCH_ROWS
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 1):
+                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -116,39 +128,45 @@ def shapley_permutation(f, x: np.ndarray, background_mean: np.ndarray,
     the background-mean replacement scheme.
 
     Each sampled feature ordering contributes the marginal f(coalition + i)
-    - f(coalition) for every feature; evaluations are batched through f and
-    reduced in a fixed order. Returns (m,) or (m, p) values.
+    - f(coalition) for every feature. The walks share coalitions: each starts
+    at the background row and ends at x, and short and long coalitions
+    repeat. So f sees each distinct coalition of the sample once, at most
+    `batch_size` rows per call, and the cost is the number of distinct
+    coalitions, at most n_permutations * (m + 1). The marginals are reduced
+    in a fixed order. Returns (m,) or (m, p) values.
     """
-    if n_permutations < 1:
-        raise ValueError("shapley_permutation: n_permutations must be >= 1")
+    if n_permutations < 1 or batch_size < 1:
+        raise ValueError("shapley_permutation: n_permutations and batch_size must be >= 1")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     bg = np.asarray(background_mean, dtype=np.float64).reshape(-1)
     m = x.size
-    perms_per_chunk = max(1, batch_size // (m + 1))
-    totals = None
-    done = 0
-    while done < n_permutations:
-        p = min(perms_per_chunk, n_permutations - done)
-        perms = np.stack([rng.permutation(m) for _ in range(p)])   # (p, m)
-        ranks = np.argsort(perms, axis=1)                           # rank of feature i
-        grown = ranks[:, None, :] < np.arange(m + 1)[None, :, None]  # (p, m+1, m)
-        rows = np.where(grown, x, bg).reshape(p * (m + 1), m)
-        vals = _as_2d(f(rows)).reshape(p, m + 1, -1)
-        diffs = vals[:, 1:] - vals[:, :-1]                          # (p, m, out)
-        if totals is None:
-            totals = np.zeros((m, diffs.shape[2]))
-        np.add.at(totals, perms.reshape(-1), diffs.reshape(p * m, -1))
-        done += p
+    perms = np.stack([rng.permutation(m) for _ in range(n_permutations)])  # (P, m)
+    ranks = np.argsort(perms, axis=1)                                      # rank of feature i
+    grown = ranks[:, None, :] < np.arange(m + 1)[None, :, None]            # (P, m+1, m)
+    keys = np.packbits(grown, axis=2).reshape(n_permutations * (m + 1), -1)
+    coalitions, inverse = np.unique(keys, axis=0, return_inverse=True)
+    outs = []
+    for start in range(0, len(coalitions), batch_size):
+        present = np.unpackbits(coalitions[start:start + batch_size], axis=1, count=m)
+        outs.append(_as_2d(f(np.where(present.astype(bool), x, bg))))
+    walk_vals = np.concatenate(outs)[inverse.reshape(-1)].reshape(n_permutations, m + 1, -1)
+    diffs = walk_vals[:, 1:] - walk_vals[:, :-1]                           # (P, m, out)
+    totals = np.zeros((m, diffs.shape[2]))
+    np.add.at(totals, perms.reshape(-1), diffs.reshape(n_permutations * m, -1))
     totals /= n_permutations
     return totals[:, 0] if totals.shape[1] == 1 else totals
 
 
 def model_value_fn(params: dict, spec: VariantSpec, batch_size: int = BATCH_ROWS):
     """Wrap the model as a batched feature-row function: (k, T) -> (k, c)
-    eval-mode class probabilities."""
+    eval-mode class probabilities. The batch is padded with copies of its
+    last row up to a multiple of ROW_QUANTUM rows, at most `batch_size`."""
     def f(rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
-        return batched_probs(params, spec, rows.reshape(rows.shape[0], -1, 1), batch_size)
+        k = rows.shape[0]
+        pad = max(0, min(-k % ROW_QUANTUM, batch_size - k))
+        rows = np.pad(rows, ((0, pad), (0, 0)), mode="edge")
+        return batched_probs(params, spec, rows.reshape(k + pad, -1, 1), batch_size)[:k]
     return f
 
 

@@ -386,10 +386,10 @@ class VariantSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "VariantSpec":
         spec = cls(
-            seq_len=int(d["seq_len"]),
-            n_classes=int(d["n_classes"]),
+            seq_len=d["seq_len"],
+            n_classes=d["n_classes"],
             branches=tuple(tuple(BlockSpec.from_dict(b) for b in br) for br in d["branches"]),
-            head=tuple(int(w) for w in d["head"]),
+            head=tuple(d["head"]),
         )
         if d.get("ln_eps", layers.LN_EPS) != layers.LN_EPS:
             raise ConstructionError(f"ln_eps must be {layers.LN_EPS}, got {d['ln_eps']!r}")

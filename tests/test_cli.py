@@ -299,6 +299,19 @@ class TestExplainBenchInspect:
         top = json.loads((tmp_path / "ex" / "attribution_topk.json").read_text())
         assert len(top["top_features"]) == 8
 
+    @pytest.mark.parametrize("flag, setting", [("--instances", "n_instances"),
+                                               ("--permutations", "n_permutations")])
+    def test_setting_below_one_rejected(self, tmp_path, capsys, flag, setting):
+        # checked before the checkpoint is read: this one lacks a codec
+        spec = tiny_bigat_spec()
+        ckpt = tmp_path / "m.bgid"
+        MOD.save(build(spec, RngStream(0)), spec, {}, ckpt)
+        rc = main(["explain", "--checkpoint", str(ckpt), "--synth", *SMALL,
+                   "--out-dir", str(tmp_path / "ex"), flag, "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert setting in err and "'codec'" not in err
+
     def test_bench_outputs(self, tmp_path):
         run_train(tmp_path)
         rc = main(["bench", "--checkpoint", str(tmp_path / "checkpoint.bgid"),

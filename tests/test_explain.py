@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_bigat_spec
-from bigatid import data as D
+from bigatid import data as D, explain as E
 from bigatid.explain import (
     Attribution,
     ShapleySettings,
@@ -13,9 +13,9 @@ from bigatid.explain import (
     shapley_exact_small,
     shapley_permutation,
 )
-from bigatid.model import VariantSpec, build
+from bigatid.model import VariantSpec, build, predict
 from bigatid.numerics import RngStream
-from bigatid.training import TrainConfig, train
+from bigatid.training import TrainConfig, batched_probs, train
 
 
 def surrogate_8(rows):
@@ -23,6 +23,42 @@ def surrogate_8(rows):
     rows = np.atleast_2d(rows)
     w = np.array([0.62, -0.27, 0.41, 0.93, -0.51, 0.18, -0.74, 0.35])
     return np.tanh(rows @ w * 0.5 + 0.15 * rows[:, 0] * rows[:, 1])
+
+
+def plain_walk(f, x, bg, n_permutations, rng, batch_size):
+    """The permutation estimator with one f row per walk step, shared
+    coalitions evaluated again: the reference for the coalition-sharing one."""
+    m = x.size
+    perms_per_chunk = max(1, batch_size // (m + 1))
+    totals = None
+    done = 0
+    while done < n_permutations:
+        p = min(perms_per_chunk, n_permutations - done)
+        perms = np.stack([rng.permutation(m) for _ in range(p)])
+        ranks = np.argsort(perms, axis=1)
+        grown = ranks[:, None, :] < np.arange(m + 1)[None, :, None]
+        rows = np.where(grown, x, bg).reshape(p * (m + 1), m)
+        vals = np.asarray(f(rows), dtype=np.float64)
+        vals = (vals[:, None] if vals.ndim == 1 else vals).reshape(p, m + 1, -1)
+        diffs = vals[:, 1:] - vals[:, :-1]
+        if totals is None:
+            totals = np.zeros((m, diffs.shape[2]))
+        np.add.at(totals, perms.reshape(-1), diffs.reshape(p * m, -1))
+        done += p
+    totals /= n_permutations
+    return totals[:, 0] if totals.shape[1] == 1 else totals
+
+
+class CountingF:
+    """Wraps a value function and records every batch of rows it receives."""
+
+    def __init__(self, f):
+        self.f = f
+        self.batches = []
+
+    def __call__(self, rows):
+        self.batches.append(np.array(rows))
+        return self.f(rows)
 
 
 def kendall_tau_topk(a: Attribution, b: Attribution, k: int = 10) -> float:
@@ -177,6 +213,56 @@ class TestPermutationEstimator:
             shapley_permutation(surrogate_8, np.zeros(8), np.zeros(8), 0, RngStream(0))
 
 
+class TestCoalitionSharing:
+    def test_three_features_need_at_most_eight_rows(self):
+        f = CountingF(surrogate_8_5())
+        shapley_permutation(f, np.array([0.3, -1.1, 2.0]), np.zeros(3), 200, RngStream(30))
+        assert sum(len(b) for b in f.batches) <= 2 ** 3
+
+    def test_each_distinct_coalition_evaluated_once(self):
+        m, n_perm = 20, 97
+        rng = RngStream(31)
+        x, bg = rng.normal(size=m) + 3.0, rng.normal(size=m) - 3.0
+        f = CountingF(surrogate_8_5())
+        shapley_permutation(f, x, bg, n_perm, RngStream(32))
+        replay = RngStream(32)
+        perms = [replay.permutation(m) for _ in range(n_perm)]
+        distinct = {frozenset(int(i) for i in p[:k]) for p in perms for k in range(m + 1)}
+        rows = np.concatenate(f.batches)
+        assert len(rows) == len(distinct)
+        assert len({r.tobytes() for r in rows}) == len(rows)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 7])
+    def test_no_call_exceeds_batch_size(self, batch_size):
+        f = CountingF(surrogate_8_5())
+        shapley_permutation(f, RngStream(33).normal(size=6), np.zeros(6), 10, RngStream(34),
+                            batch_size=batch_size)
+        assert max(len(b) for b in f.batches) <= batch_size
+
+    def test_rng_consumed_as_by_the_plain_walk(self):
+        x = RngStream(35).normal(size=9)
+        rng_a, rng_b = RngStream(36), RngStream(36)
+        shapley_permutation(surrogate_8_5(), x, np.zeros(9), 25, rng_a, batch_size=16)
+        plain_walk(surrogate_8_5(), x, np.zeros(9), 25, rng_b, batch_size=16)
+        assert rng_a.normal() == rng_b.normal()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(m=st.integers(1, 10), outputs=st.integers(1, 3), n_perm=st.integers(1, 30),
+           batch_size=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_matches_plain_walk(self, m, outputs, n_perm, batch_size, seed):
+        rng = RngStream(seed)
+        a, b = rng.normal(size=(m, 4)), rng.normal(size=(4, outputs))
+
+        def f(rows):
+            out = np.tanh(np.atleast_2d(rows) @ a) ** 2 @ b
+            return out[:, 0] if outputs == 1 else out
+        x, bg = rng.normal(size=m), rng.normal(size=m)
+        shared = shapley_permutation(f, x, bg, n_perm, rng.spawn(1), batch_size=batch_size)
+        plain = plain_walk(f, x, bg, n_perm, rng.spawn(1), batch_size=batch_size)
+        assert shared.shape == plain.shape
+        assert np.abs(shared - plain).max() <= 1e-12
+
+
 def surrogate_8_5():
     def f(rows):
         rows = np.atleast_2d(rows)
@@ -200,6 +286,24 @@ class TestModelEstimator:
         scale = max(np.abs(exact).max(), 1e-6)
         assert np.abs(mc - exact).max() < 0.05 * scale + 1e-4
 
+    @pytest.mark.parametrize("k, batch_size, model_rows", [
+        (1, 2048, 128), (130, 2048, 256), (130, 200, 200), (5, 3, 5)])
+    def test_value_fn_pads_rows_and_returns_only_the_given_ones(
+            self, monkeypatch, k, batch_size, model_rows):
+        seen = []
+
+        def counting(params, spec, X, batch_size):
+            seen.append(len(X))
+            return batched_probs(params, spec, X, batch_size)
+        monkeypatch.setattr(E, "batched_probs", counting)
+        spec = tiny_spec_for(6, 3, rate=0.0)
+        params = build(spec, RngStream(12))
+        rows = RngStream(13).normal(size=(k, 6))
+        out = model_value_fn(params, spec, batch_size=batch_size)(rows)
+        assert seen == [model_rows]
+        assert out.shape == (k, 3)
+        assert np.abs(out - predict(params, spec, rows[:, :, None])).max() <= 1e-12
+
     def test_empty_background_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             background_mean_of(np.zeros((0, 6)))
@@ -222,6 +326,14 @@ def tiny_spec_for(seq_len, c, rate=0.2):
                        head=base.head)
 
 
+class TestShapleySettings:
+    @pytest.mark.parametrize("name", ["n_instances", "n_permutations", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
+    def test_each_count_must_be_a_positive_integer(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ShapleySettings(**{name: value})
+
+
 class TestAttributionSummary:
     def test_single_instance_equals_abs_values(self):
         spec = tiny_spec_for(6, 3, rate=0.0)
@@ -237,6 +349,22 @@ class TestAttributionSummary:
         values = shapley_permutation(f, one.features()[0], background_mean_of(one),
                                      64, rng, batch_size=settings.batch_size)
         assert np.abs(att.values - np.abs(values)).max() < 1e-12
+
+    def test_matches_plain_walk_over_instances(self):
+        spec = tiny_spec_for(6, 3, rate=0.0)
+        params = build(spec, RngStream(25))
+        ds = D.synth_generate(3, 4, 6, 3.0, RngStream(26))
+        settings = ShapleySettings(n_instances=5, n_permutations=24, batch_size=40)
+        att = attribution_summary(params, spec, ds, settings, RngStream(27))
+
+        f = model_value_fn(params, spec, batch_size=settings.batch_size)
+        bg = background_mean_of(ds)
+        rng = RngStream(27)
+        pick = rng.permutation(len(ds))[:5]
+        expected = sum(np.abs(plain_walk(f, ds.features()[row], bg, 24, rng, 40))
+                       for row in pick) / 5
+        assert att.n_instances == 5
+        assert np.abs(att.values - expected).max() <= 1e-12
 
     def test_model_reading_only_feature_zero_ranks_it_first(self):
         rng = RngStream(17)

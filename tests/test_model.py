@@ -352,7 +352,9 @@ MALFORMED_HEADERS = [
     pytest.param(lambda header: [header], "JSON list", id="header-is-a-list"),
     pytest.param(_set(0, "spec", "branches", 0, 2, "heads"), "heads", id="mha-heads-0"),
     pytest.param(_set(0, "spec", "branches", 0, 0, "units"), "units", id="bigru-units-0"),
-    pytest.param(_set(float("inf"), "spec", "seq_len"), "infinity", id="seq-len-infinite"),
+    pytest.param(_set(float("inf"), "spec", "seq_len"), "seq_len", id="seq-len-infinite"),
+    pytest.param(_set(3.9, "spec", "n_classes"), "n_classes", id="n-classes-fractional"),
+    pytest.param(_set([4.7], "spec", "head"), "head", id="head-width-fractional"),
     pytest.param(lambda header: b"[" * 100_000, "recursion", id="nested-too-deep"),
     # the layer norm's eps is fixed: a header may only restate it
     *(pytest.param(_set(eps, "spec", "ln_eps"), "ln_eps", id=f"ln-eps-{eps}")
