@@ -23,10 +23,14 @@ from .training import batched_probs
 
 EXACT_FEATURE_CAP = 12
 BATCH_ROWS = 2048  # feature rows per batched model evaluation
-# The model sees row counts rounded up to a multiple of ROW_QUANTUM (within
-# the batch size). The number of distinct coalitions varies by a few rows
-# from instance to instance; unrounded, every forward asks for buffers of a
-# new size, and glibc's heap keeps the freed ones resident.
+# model_value_fn rounds each call's row count up to a multiple of ROW_QUANTUM
+# (within the batch size). The forward's largest activations, rows x T x 128
+# float64, come from glibc's heap below its 32 MiB mmap ceiling and stay
+# resident after they are freed; above it they are mapped and unmapped per
+# call. One instance's distinct-coalition count varies by a few rows, so
+# unrounded forwards can fall on both sides of the ceiling and keep both the
+# heap and the mapped buffers (at T=20 with 97 permutations: 1,619-1,654
+# rows, ceiling at 1,638, peak RSS +5%); rounded, they all run at 1,664 rows.
 ROW_QUANTUM = 128
 
 
@@ -133,7 +137,10 @@ def shapley_permutation(f, x: np.ndarray, background_mean: np.ndarray,
     repeat. So f sees each distinct coalition of the sample once, at most
     `batch_size` rows per call, and the cost is the number of distinct
     coalitions, at most n_permutations * (m + 1). The marginals are reduced
-    in a fixed order. Returns (m,) or (m, p) values.
+    in a fixed order. Working memory is linear in n_permutations * (m + 1):
+    per walk step a packed coalition key, its index among the distinct
+    coalitions and, per distinct coalition, the p outputs of f; no float row
+    array over all walks is built. Returns (m,) or (m, p) values.
     """
     if n_permutations < 1 or batch_size < 1:
         raise ValueError("shapley_permutation: n_permutations and batch_size must be >= 1")
@@ -141,20 +148,32 @@ def shapley_permutation(f, x: np.ndarray, background_mean: np.ndarray,
     bg = np.asarray(background_mean, dtype=np.float64).reshape(-1)
     m = x.size
     perms = np.stack([rng.permutation(m) for _ in range(n_permutations)])  # (P, m)
-    ranks = np.argsort(perms, axis=1)                                      # rank of feature i
-    grown = ranks[:, None, :] < np.arange(m + 1)[None, :, None]            # (P, m+1, m)
-    keys = np.packbits(grown, axis=2).reshape(n_permutations * (m + 1), -1)
+    walks = max(1, batch_size // (m + 1))                                  # walks per chunk
+    chunks = [slice(s, s + walks) for s in range(0, n_permutations, walks)]
+    keys = np.concatenate([_walk_keys(perms[c]) for c in chunks])
     coalitions, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(n_permutations, m + 1)
     outs = []
     for start in range(0, len(coalitions), batch_size):
         present = np.unpackbits(coalitions[start:start + batch_size], axis=1, count=m)
         outs.append(_as_2d(f(np.where(present.astype(bool), x, bg))))
-    walk_vals = np.concatenate(outs)[inverse.reshape(-1)].reshape(n_permutations, m + 1, -1)
-    diffs = walk_vals[:, 1:] - walk_vals[:, :-1]                           # (P, m, out)
-    totals = np.zeros((m, diffs.shape[2]))
-    np.add.at(totals, perms.reshape(-1), diffs.reshape(n_permutations * m, -1))
+    vals = np.concatenate(outs)                                            # (distinct, out)
+    totals = np.zeros((m, vals.shape[1]))
+    for c in chunks:
+        walk_vals = vals[inverse[c]]                                       # (p, m+1, out)
+        diffs = walk_vals[:, 1:] - walk_vals[:, :-1]                       # (p, m, out)
+        np.add.at(totals, perms[c].reshape(-1), diffs.reshape(-1, vals.shape[1]))
     totals /= n_permutations
     return totals[:, 0] if totals.shape[1] == 1 else totals
+
+
+def _walk_keys(perms: np.ndarray) -> np.ndarray:
+    """Packed membership rows, (p * (m + 1), ceil(m / 8)) uint8, of every
+    step of the walks along perms (p, m); step j holds its first j features."""
+    p, m = perms.shape
+    ranks = np.argsort(perms, axis=1)                                      # rank of feature i
+    grown = ranks[:, None, :] < np.arange(m + 1)[None, :, None]            # (p, m+1, m)
+    return np.packbits(grown, axis=2).reshape(p * (m + 1), (m + 7) // 8)
 
 
 def model_value_fn(params: dict, spec: VariantSpec, batch_size: int = BATCH_ROWS):

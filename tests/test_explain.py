@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +240,18 @@ class TestCoalitionSharing:
         shapley_permutation(f, RngStream(33).normal(size=6), np.zeros(6), 10, RngStream(34),
                             batch_size=batch_size)
         assert max(len(b) for b in f.batches) <= batch_size
+
+    def test_memory_linear_in_walk_steps(self):
+        # the (P, m+1, m) boolean membership of every walk step would take 32 MB
+        m, n_perm = 400, 200
+        tracemalloc.start()
+        try:
+            shapley_permutation(surrogate_8_5(), RngStream(37).normal(size=m), np.zeros(m),
+                                n_perm, RngStream(38), batch_size=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * n_perm * (m + 1) * m
 
     def test_rng_consumed_as_by_the_plain_walk(self):
         x = RngStream(35).normal(size=9)
