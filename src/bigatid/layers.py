@@ -12,10 +12,12 @@ themselves. The recurrent and attention forwards take `train`: when it is
 False they keep nothing for a backward pass and the cache is None.
 
 Self-attention runs over batch tiles of about _TILE_ROWS rows (batch rows x
-steps), forward and backward, so its working memory grows with the batch
-only through arrays of b*T rows, never through the b*h*T^2 attention: the
-train cache holds each score row's log-sum-exp instead, and the backward
-recomputes each tile's attention from it (FlashAttention, Dao et al. 2022).
+steps), forward and backward, and every intermediate (QKV, scores, merged
+heads and their gradients) is one tile's worth. The train cache is x and
+each score row's log-sum-exp, (x, lse): the backward recomputes each tile's
+QKV, its attention A = exp(scores - lse) and the merged heads A V from them
+(FlashAttention, Dao et al. 2022; recomputation, Chen et al. 2016), so
+attention memory grows with the batch only through x, the output and dx.
 """
 
 from __future__ import annotations
@@ -531,6 +533,13 @@ def _heads(qkv: np.ndarray):
     return qkv.transpose(2, 0, 3, 1, 4)
 
 
+def _qkv_kernel(p: MhaParams) -> np.ndarray:
+    """[Wq | Wk | Wv] and [bq | bk | bv] as one (1, d_model+1, 3*h*d_k)
+    kernel for _affine."""
+    return _bias_kernel(np.concatenate([p.Wq, p.Wk, p.Wv], axis=1),
+                        np.concatenate([p.bq, p.bk, p.bv]))
+
+
 def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: bool = True):
     """Self-attention: per head A = softmax(Q K^T / sqrt(d_k)), head = A V;
     heads concatenated then projected back to d_model. No mask, no
@@ -539,12 +548,12 @@ def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: b
     The batch runs in tiles of max(1, _TILE_ROWS // T) rows. Each tile does
     one GEMM against [Wq | Wk | Wv] (bias row included), its scores, scale
     and row softmax in one tile-sized buffer, A V into the tile's merged
-    heads, and the Wo GEMM straight into its slice of the output. Eval keeps
-    nothing: the QKV, score and merged-head buffers are one tile each, reused.
-    Train keeps x, the fused (b, T, 3, h, d_k) QKV buffer, each score row's
-    log-sum-exp (b, h, T, 1) and the merged heads (b, T, h, d_k); the
-    backward recomputes A from Q, K and the log-sum-exp, so nothing of
-    b*h*T^2 entries is kept: the score buffer holds one tile.
+    heads, and the Wo GEMM straight into its slice of the output. The QKV,
+    score and merged-head buffers are one tile each, reused, in train and
+    eval alike. Eval keeps nothing. Train's cache is (x, lse) with heads and
+    d_k: x and each score row's log-sum-exp (b, h, T, 1), from which the
+    backward recomputes each tile's QKV, A and merged heads, so the cache
+    grows with the batch only as x does.
 
     The key bias bk adds q.bk to every score of a query's row, and softmax is
     invariant to a per-row shift, so bk has no effect on the output and its
@@ -554,72 +563,82 @@ def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: b
     if heads * d_k != p.Wq.shape[1]:
         raise ShapeError(f"mha: heads*d_k = {heads * d_k} != projection width {p.Wq.shape[1]}")
     b, t, d_model = x.shape
-    w1 = _bias_kernel(np.concatenate([p.Wq, p.Wk, p.Wv], axis=1),
-                      np.concatenate([p.bq, p.bk, p.bv]))
+    w1 = _qkv_kernel(p)
     scale = 1.0 / np.sqrt(d_k)
     tiles, n = _tiles(b, t)
-    rows = b if train else n   # train keeps every tile's QKV and heads, eval one tile's
-    qkv = np.empty((rows, t, 3, heads, d_k))
-    merged = np.empty((rows, t, heads, d_k))
-    lse = np.empty((b, heads, t, 1)) if train else None
+    qkv = np.empty((n, t, 3, heads, d_k))
+    merged = np.empty((n, t, heads, d_k))
     scores = np.empty((n, heads, t, t))
+    lse = np.empty((b, heads, t, 1)) if train else None
     y = np.empty((b, t, d_model))
     for s in tiles:
         m = s.stop - s.start
-        r = s if train else slice(0, m)
-        _affine(x[s], w1, out=qkv[r].reshape(1, m * t, -1))
-        q, k, v = _heads(qkv[r])
+        _affine(x[s], w1, out=qkv[:m].reshape(1, m * t, -1))
+        q, k, v = _heads(qkv[:m])
         a = scores[:m]
         np.matmul(q, k.transpose(0, 1, 3, 2), out=a)
         a *= scale
         softmax_rows(a, out=a, lse=lse[s] if train else None)
-        np.matmul(a, v, out=merged[r].transpose(0, 2, 1, 3))
+        np.matmul(a, v, out=merged[:m].transpose(0, 2, 1, 3))
         y_s = y[s].reshape(m * t, d_model)
-        np.matmul(merged[r].reshape(m * t, -1), p.Wo, out=y_s)
+        np.matmul(merged[:m].reshape(m * t, -1), p.Wo, out=y_s)
         y_s += p.bo
-    cache = (x, qkv, lse, merged) if train else None
+    cache = (x, lse, heads, d_k) if train else None
     return y, cache
 
 
 def mha_self_backward(p: MhaParams, cache, dy: np.ndarray):
-    """Gradients of mha_self_forward. dWo and dO = dy Wo^T are one GEMM each
-    over the batch; then, per tile, A = exp(Q K^T / sqrt(d_k) - lse) is
-    recomputed and dV = A^T dO, dS = A * (dO V^T - rowsum(dO * O)) / sqrt(d_k),
-    dQ = dS K and dK = dS^T Q are written into one (b, T, 3, h, d_k) buffer,
-    so dW_qkv, the biases and dx against [Wq | Wk | Wv]^T are one GEMM each."""
-    x, qkv, lse, merged = cache
+    """Gradients of mha_self_forward, one pass over the forward's tiles.
+    Each tile recomputes its QKV with the forward's GEMM (so Q, K and V are
+    bit-identical to the forward's), A = exp(Q K^T / sqrt(d_k) - lse) and
+    the merged heads O = A V; then dO = dy Wo^T, dV = A^T dO,
+    dS = A * (dO V^T - rowsum(dO * O)) / sqrt(d_k), dQ = dS K and
+    dK = dS^T Q go into one tile-sized (m, T, 3, h, d_k) buffer, from which
+    dW_qkv and the biases accumulate, and dx against [Wq | Wk | Wv]^T is
+    written, one GEMM each. Every buffer but dx is one tile."""
+    x, lse, heads, d_k = cache
     b, t, d_model = x.shape
-    _, _, _, heads, d_k = qkv.shape
     hd = heads * d_k
+    w1 = _qkv_kernel(p)
+    w_qkv_t = w1[0, :-1].T
     scale = 1.0 / np.sqrt(d_k)
-    dy2 = dy.reshape(b * t, d_model)
-    dWo = merged.reshape(b * t, hd).T @ dy2
-    dbo = dy2.sum(axis=0)
-    do = (dy2 @ p.Wo.T).reshape(b, t, heads, d_k)
-    dqkv = np.empty_like(qkv)
     tiles, n = _tiles(b, t)
+    qkv = np.empty((n, t, 3, heads, d_k))
+    dqkv = np.empty_like(qkv)
+    merged = np.empty((n, t, heads, d_k))
+    do = np.empty_like(merged)
     attn = np.empty((n, heads, t, t))
     dscores = np.empty_like(attn)
+    dWo = np.zeros((hd, d_model))
+    dw1 = np.zeros((d_model + 1, 3 * hd))
+    dx = np.empty((b, t, d_model))
     for s in tiles:
         m = s.stop - s.start
-        q, k, v = _heads(qkv[s])
-        dq, dk, dv = _heads(dqkv[s])
-        do_s = do[s].transpose(0, 2, 1, 3)
+        x1 = _ones_column(x[s])
+        np.matmul(x1, w1, out=qkv[:m].reshape(1, m * t, -1))    # = _affine(x[s], w1)
+        q, k, v = _heads(qkv[:m])
+        dq, dk, dv = _heads(dqkv[:m])
         a, da = attn[:m], dscores[:m]
         np.matmul(q, k.transpose(0, 1, 3, 2), out=a)
         a *= scale
         a -= lse[s]
         np.exp(a, out=a)
+        np.matmul(a, v, out=merged[:m].transpose(0, 2, 1, 3))
+        dy_s = dy[s].reshape(m * t, d_model)
+        dWo += merged[:m].reshape(m * t, hd).T @ dy_s
+        np.matmul(dy_s, p.Wo.T, out=do[:m].reshape(m * t, hd))
+        do_s = do[:m].transpose(0, 2, 1, 3)
         np.matmul(a.transpose(0, 1, 3, 2), do_s, out=dv)
         np.matmul(do_s, v.transpose(0, 1, 3, 2), out=da)
-        da -= np.einsum("bthd,bthd->bht", do[s], merged[s])[..., None]  # rowsum(dO * O)
+        da -= np.einsum("bthd,bthd->bht", do[:m], merged[:m])[..., None]  # rowsum(dO * O)
         da *= a
         da *= scale
         np.matmul(da, k, out=dq)
         np.matmul(da.transpose(0, 1, 3, 2), q, out=dk)
-    dqkv2 = dqkv.reshape(b * t, 3 * hd)
-    dw1 = _ones_column(x).T @ dqkv2      # the last row is the bias gradient
+        dqkv2 = dqkv[:m].reshape(m * t, 3 * hd)
+        dw1 += x1.T @ dqkv2                  # the last row is the bias gradient
+        np.matmul(dqkv2, w_qkv_t, out=dx[s].reshape(m * t, d_model))
     (dWq, dWk, dWv), (dbq, dbk, dbv) = np.split(dw1[:-1], 3, axis=1), np.split(dw1[-1], 3)
-    dx = dqkv2 @ np.concatenate([p.Wq, p.Wk, p.Wv], axis=1).T
+    dbo = dy.reshape(b * t, d_model).sum(axis=0)
     grads = MhaParams(Wq=dWq, bq=dbq, Wk=dWk, bk=dbk, Wv=dWv, bv=dbv, Wo=dWo, bo=dbo)
-    return dx.reshape(b, t, d_model), grads
+    return dx, grads

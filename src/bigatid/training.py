@@ -19,7 +19,8 @@ EVAL_BATCH = 512
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; the message names the epoch and batch."""
+    """Loss or a gradient became non-finite; the message names the epoch and
+    batch, and for a gradient the tensor."""
 
 
 @dataclass
@@ -199,7 +200,8 @@ def train(spec: VariantSpec, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
           init_params: dict | None = None):
     """Seeded mini-batch training. Shuffles each epoch, keeps the last
     partial batch, applies dropout only in the train forward, and records
-    one History row per epoch. Returns (params, History)."""
+    one History row per epoch. A non-finite loss or gradient raises
+    TrainingDivergedError before the step's update. Returns (params, History)."""
     if len(train_ds) == 0:
         raise ValueError("train: empty training set")
     if train_ds.seq_len != spec.seq_len or val_ds.seq_len != spec.seq_len:
@@ -232,9 +234,15 @@ def train(spec: VariantSpec, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfi
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1}, batch {bi + 1}")
             grads = backward(params, spec, caches, dprobs)
+            del caches   # neither this step's activations nor its gradients outlive it
+            bad = next((k for k, g in grads.items() if not np.isfinite(g).all()), None)
+            if bad is not None:   # before a NaN or inf reaches the clip or the Adam moments
+                raise TrainingDivergedError(
+                    f"non-finite gradient of {bad!r} at epoch {epoch + 1}, batch {bi + 1}")
             if cfg.grad_clip is not None:
                 global_norm_clip(grads, cfg.grad_clip)
             adam_step(params, grads, state, cfg.learning_rate)
+            del grads
             total_loss += loss * len(idx)
             total_correct += int((probs.argmax(axis=1) == train_ds.y[idx]).sum())
 

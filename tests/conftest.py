@@ -1,8 +1,10 @@
-"""Shared test helpers: tiny model configs and gradient-check plumbing."""
+"""Shared test helpers: tiny model configs, gradient-check plumbing and
+traced memory peaks."""
 
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 from bigatid.model import BlockSpec, VariantSpec, backward, build, forward
 from bigatid.numerics import RngStream, finite_diff_grad, grad_mismatch
@@ -92,3 +94,13 @@ def check_model_grads(spec: VariantSpec, seed: int, tol=GRAD_TOL, batch: int = 2
         assert err < tol, f"{name}: gradient mismatch {err:.3e} >= {tol}"
         worst = max(worst, err)
     return worst
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,12 +1,12 @@
 import csv
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import traced_peak
 from bigatid import data as D
 from bigatid.numerics import RngStream
 
@@ -480,12 +480,7 @@ class TestSmoteBalance:
         X = np.concatenate([rng.normal(size=(m + 1, t)), rng.normal(size=(m, t)) + 3.0])
         ds = D.Dataset(X=D.to_sequences(X), y=np.array([0] * (m + 1) + [1] * m, dtype=np.int64),
                        codec=D.LabelCodec.fit(["a", "b"]))
-        tracemalloc.start()
-        try:
-            D.smote_balance(ds, RngStream(33))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: D.smote_balance(ds, RngStream(33)))
         # the whole (m, m, T) broadcast is m^2 T 8 B = 106 MB
         assert peak < m * m * t * 8 / 4
 

@@ -1,10 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_bigat_spec
+from conftest import tiny_bigat_spec, traced_peak
 from bigatid import data as D, explain as E
 from bigatid.explain import (
     Attribution,
@@ -244,13 +242,9 @@ class TestCoalitionSharing:
     def test_memory_linear_in_walk_steps(self):
         # the (P, m+1, m) boolean membership of every walk step would take 32 MB
         m, n_perm = 400, 200
-        tracemalloc.start()
-        try:
-            shapley_permutation(surrogate_8_5(), RngStream(37).normal(size=m), np.zeros(m),
-                                n_perm, RngStream(38), batch_size=64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: shapley_permutation(
+            surrogate_8_5(), RngStream(37).normal(size=m), np.zeros(m), n_perm, RngStream(38),
+            batch_size=64))
         assert peak < 0.75 * n_perm * (m + 1) * m
 
     def test_rng_consumed_as_by_the_plain_walk(self):

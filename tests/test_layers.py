@@ -1,10 +1,9 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import check_layer_grads
+from conftest import check_layer_grads, traced_peak
 from bigatid import layers as L
 from bigatid.numerics import RngStream, ShapeError, finite_diff_grad, grad_mismatch, sigmoid
 
@@ -387,13 +386,50 @@ class TestMha:
         rng = RngStream(28)
         p = L.MhaParams.init(rng, 128, heads, d_k)
         x = rng.normal(size=(b, t, 128))
-        tracemalloc.start()
-        try:
-            L.mha_self_forward(p, x, heads, d_k, train=False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: L.mha_self_forward(p, x, heads, d_k, train=False))
         assert peak < b * heads * t * t * 8
+
+
+    @pytest.mark.parametrize("tile_rows", [1, 83, 256, 10**6])
+    def test_any_tile_size_matches_untiled_attention(self, monkeypatch, tile_rows):
+        monkeypatch.setattr(L, "_TILE_ROWS", tile_rows)
+        rng = RngStream(29)
+        t, heads, d_k = 20, 2, 4
+        p = with_noisy_biases(L.MhaParams.init(rng, 8, heads, d_k), rng)
+        x = rng.normal(size=(13, t, 8))
+        dy = rng.normal(size=x.shape)
+        y_ref, dx_ref, g_ref = plain_attention(p, x, heads, d_k, dy)
+        y, cache = L.mha_self_forward(p, x, heads, d_k, train=True)
+        y_eval, _ = L.mha_self_forward(p, x, heads, d_k, train=False)
+        assert np.array_equal(y, y_eval)
+        assert np.abs(y - y_ref).max() < 1e-12
+        dx, grads = L.mha_self_backward(p, cache, dy)
+        assert grad_mismatch(dx, dx_ref) < 1e-12
+        for f in dataclasses.fields(g_ref):
+            assert grad_mismatch(getattr(grads, f.name), getattr(g_ref, f.name)) < 1e-12, f.name
+
+    def test_train_cache_holds_only_x_and_lse(self):
+        # canonical block: 128 wide, 8 heads of 64, at T=83
+        b, t, heads, d_k = 64, 83, 8, 64
+        rng = RngStream(30)
+        p = L.MhaParams.init(rng, 128, heads, d_k)
+        x = rng.normal(size=(b, t, 128))
+        _, cache = L.mha_self_forward(p, x, heads, d_k, train=True)
+        lse_bytes = b * heads * t * 8
+        assert sum(a.nbytes for a in cache if isinstance(a, np.ndarray)) <= x.nbytes + lse_bytes
+
+    def test_train_pass_holds_no_whole_batch_qkv_buffer(self):
+        b, t, heads, d_k = 64, 83, 8, 64
+        rng = RngStream(31)
+        p = L.MhaParams.init(rng, 128, heads, d_k)
+        x = rng.normal(size=(b, t, 128))
+        dy = rng.normal(size=x.shape)
+
+        def step():
+            _, cache = L.mha_self_forward(p, x, heads, d_k, train=True)
+            L.mha_self_backward(p, cache, dy)
+
+        assert traced_peak(step) < b * t * 3 * heads * d_k * 8
 
 
 class TestTimeDense:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import check_model_grads, tiny_bigat_spec
+from conftest import check_model_grads, tiny_bigat_spec, traced_peak
+from bigatid import training
 from bigatid import data as D
 from bigatid import layers as L
-from bigatid.model import build
+from bigatid.model import bigat_spec, build
 from bigatid.numerics import RngStream, finite_diff_grad, grad_mismatch, softmax_rows
 from bigatid.training import (
     AdamState,
@@ -212,6 +213,39 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_size=8, seed=0)
         with pytest.raises(TrainingDivergedError, match="epoch 1, batch 1"):
             train(spec, tr, te, cfg, init_params=params)
+
+    def test_non_finite_gradient_named_before_the_update(self, monkeypatch):
+        tr, te = tiny_sets(seed=4)
+        spec = tiny_bigat_spec()
+        params = build(spec, RngStream(0))
+        before = {k: v.copy() for k, v in params.items()}
+        real_backward = training.backward
+
+        def nan_backward(*args):
+            grads = real_backward(*args)
+            grads["branch1.2_mha.Wv"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "backward", nan_backward)
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=0, grad_clip=1.0)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"gradient of 'branch1\.2_mha\.Wv' at epoch 1, batch 1"):
+            train(spec, tr, te, cfg, init_params=params)
+        assert all(np.array_equal(params[k], before[k]) for k in params)
+
+    def test_steps_free_their_activations_before_the_next_forward(self):
+        spec, b = bigat_spec(20, 6), 32
+        rng = RngStream(40)
+        codec = D.LabelCodec.fit([str(i) for i in range(6)])
+
+        def epoch_peak(n_batches):
+            n = b * n_batches
+            ds = D.Dataset(X=rng.normal(size=(n, 20, 1)), y=np.arange(n) % 6, codec=codec)
+            empty = ds.subset(np.array([], dtype=int))
+            cfg = TrainConfig(epochs=1, batch_size=b, seed=0)
+            return traced_peak(lambda: train(spec, ds, empty, cfg))
+
+        assert epoch_peak(3) <= 1.02 * epoch_peak(1)
 
     def test_empty_training_set_rejected(self):
         tr, te = tiny_sets(seed=5)
