@@ -9,6 +9,7 @@ attribution CSVs, report JSON) land in the output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -67,27 +68,96 @@ def derive_seed(*keys: int) -> int:
 # run configuration
 # ---------------------------------------------------------------------------
 
-RUN_DEFAULTS: dict = {
-    "csv": None,
-    "synth": False,
-    "label_column": "Label",
-    "synth_classes": 6,
-    "synth_per_class": 400,
-    "synth_seq_len": 20,
-    "synth_separation": 6.0,
-    "synth_imbalance": None,
-    "train_frac": 0.8,
-    "scale": True,
-    "balancing": "none",
-    "smote_k": 5,
-    "variant": 4,
-    "dropout": None,
-    **{f.name: f.default for f in fields(T.TrainConfig)},
-    "out_dir": "runs",
-    "bench_warmup": 1,
-    "bench_repeats": 3,
-    "normal_class": "normal",
-}
+@dataclass(frozen=True)
+class _Option:
+    """One run key: its default and type, the subcommands whose parser has its
+    flag, that flag's choices and help, and the least value the key takes. A
+    bool key's flag stores the opposite of its default, so one that is on by
+    default is --no-KEY. `group` places the flag in a command's help: after
+    --config come the data, fit and model flags; `own` flags come last."""
+    key: str
+    default: object
+    type: type
+    commands: tuple = ()
+    group: str = "data"
+    choices: tuple | list | None = None
+    help: str | None = None
+    minimum: int | None = None
+
+    @property
+    def flag(self) -> str:
+        return ("--no-" if self.default is True else "--") + self.key.replace("_", "-")
+
+    def add_flag(self, p: argparse.ArgumentParser) -> None:
+        if self.type is bool:
+            kwargs = dict(action="store_const", const=not self.default, default=None)
+        else:
+            kwargs = dict(type=self.type if self.type in (int, float) else None,
+                          choices=self.choices)
+        p.add_argument(self.flag, dest=self.key, help=self.help, **kwargs)
+
+    def check(self, value, origin: str):
+        """`value`, from `origin`, as the run takes it, or a ConfigError naming
+        the key. A float takes an int, never a bool; a list holds floats, or is
+        given as its flag takes it, one comma-separated string; an unset
+        default takes null."""
+        if value is None and self.default is None:
+            return value
+        if self.type is list and self.commands and type(value) is str:
+            with contextlib.suppress(ValueError):  # a malformed string stays one
+                value = [float(v) for v in value.split(",")]
+        kinds = (int, float) if self.type is float else (self.type,)
+        if type(value) not in kinds or type(value) is list and any(
+                type(v) not in (int, float) for v in value):
+            problem = "of type " + ("list of float" if self.type is list
+                                    else self.type.__name__)
+        elif self.choices is not None and value not in self.choices:
+            problem = f"one of {list(self.choices)}"
+        elif self.minimum is not None and value < self.minimum:
+            problem = f">= {self.minimum}"
+        else:
+            return value
+        raise ConfigError(f"{origin}: {self.key} must be {problem}, got {value!r}")
+
+
+_RUN = ("train", "evaluate", "ablate", "loao", "explain", "bench", "synth")
+_FIT = ("train", "ablate", "loao")
+_GROUPS = ("data", "fit", "model", "own")
+
+# every run key, in the order each report echoes the config
+_OPTIONS = (
+    _Option("csv", None, str, _RUN, help="flow-record CSV with a header row"),
+    _Option("synth", False, bool, _RUN,
+            help="use the synthetic generator as the data source"),
+    _Option("label_column", "Label", str, _RUN),
+    _Option("synth_classes", 6, int, _RUN),
+    _Option("synth_per_class", 400, int, _RUN),
+    _Option("synth_seq_len", 20, int, _RUN),
+    _Option("synth_separation", 6.0, float, _RUN),
+    _Option("synth_imbalance", None, list, _RUN,
+            help="comma-separated per-class count fractions"),
+    _Option("train_frac", 0.8, float, _FIT, "fit"),
+    _Option("scale", True, bool, _FIT, "fit", help="disable min-max feature scaling"),
+    _Option("balancing", "none", str, _FIT, "fit", choices=["none", "ros", "smote"]),
+    _Option("smote_k", 5, int, _FIT, "fit"),
+    _Option("variant", 4, int, ("train", "loao"), "model"),
+    _Option("dropout", None, float, ("train",), "model",
+            help="dropout override for variant 4"),
+    _Option("learning_rate", T.TrainConfig.learning_rate, float, _FIT, "fit"),
+    _Option("batch_size", T.TrainConfig.batch_size, int, _FIT, "fit"),
+    _Option("epochs", T.TrainConfig.epochs, int, _FIT, "fit"),
+    _Option("loss", T.TrainConfig.loss, str, _FIT, "fit", choices=T.LOSS_KINDS),
+    _Option("focal_gamma", T.TrainConfig.focal_gamma, float, _FIT, "fit"),
+    _Option("focal_alpha", T.TrainConfig.focal_alpha, list),  # per class: no flag
+    _Option("grad_clip", T.TrainConfig.grad_clip, float, _FIT, "fit"),
+    _Option("seed", T.TrainConfig.seed, int, _RUN, minimum=0),
+    _Option("out_dir", "runs", str, _RUN),
+    _Option("bench_warmup", 1, int, ("bench",), "own"),
+    _Option("bench_repeats", 3, int, ("bench",), "own"),
+    _Option("normal_class", "normal", str, ("loao",), "own"),
+)
+_OPTION = {o.key: o for o in _OPTIONS}
+RUN_DEFAULTS: dict = {o.key: o.default for o in _OPTIONS}
 
 
 @dataclass
@@ -111,16 +181,18 @@ class RunConfig:
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < config file < explicit flags; unknown file keys rejected."""
+    """defaults < environment < config file < explicit flags; unknown file keys
+    are rejected and every value is checked against its key's row."""
     merged = dict(RUN_DEFAULTS)
     if os.environ.get(OUT_DIR_ENV):
         merged["out_dir"] = os.environ[OUT_DIR_ENV]
     if os.environ.get(SEED_ENV):
         try:
-            merged["seed"] = int(os.environ[SEED_ENV])
+            seed = int(os.environ[SEED_ENV])
         except ValueError:
             raise ConfigError(f"{SEED_ENV} must be an integer, got "
                               f"{os.environ[SEED_ENV]!r}") from None
+        merged["seed"] = _OPTION["seed"].check(seed, SEED_ENV)
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -134,19 +206,11 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            # an unset default takes any type; a float takes an int, never a bool
-            want = RUN_DEFAULTS[key]
-            if not (want is None or type(value) is type(want)
-                    or type(want) is float and type(value) is int):
-                raise ConfigError(f"config file {config_path}: {key} must be of type "
-                                  f"{type(want).__name__}, got {value!r}")
-        merged.update(file_cfg)
-    for key in merged:
-        flag_val = getattr(args, key, None)
+            merged[key] = _OPTION[key].check(value, f"config file {config_path}")
+    for opt in _OPTIONS:
+        flag_val = getattr(args, opt.key, None)
         if flag_val is not None:
-            merged[key] = flag_val
-    if isinstance(merged["synth_imbalance"], str):
-        merged["synth_imbalance"] = [float(v) for v in merged["synth_imbalance"].split(",")]
+            merged[opt.key] = opt.check(flag_val, opt.flag)
     if bool(merged["csv"]) == bool(merged["synth"]):
         raise ConfigError("exactly one data source required: pass --csv PATH or --synth")
     return RunConfig(values=merged)
@@ -209,9 +273,7 @@ def balance_train(cfg: RunConfig, train_ds: D.Dataset, rng: RngStream,
             return D.ros_balance(train_ds, rng.spawn(2))
         if strategy == "smote":
             return D.smote_balance(train_ds, rng.spawn(2), k=cfg.smote_k)
-        if strategy == "none":
-            return train_ds
-        raise ConfigError(f"unknown balancing strategy {strategy!r}")
+        return train_ds  # "none": merge_config checks the choice
 
 
 def resolve_variant(vid: int, seq_len: int, n_classes: int,
@@ -480,6 +542,8 @@ def cmd_loao(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if args.top_k < 1:
+        raise ConfigError(f"explain: --top-k must be an integer >= 1, got {args.top_k}")
     try:
         settings = E.ShapleySettings(n_instances=args.instances,
                                      n_permutations=args.permutations)
@@ -500,6 +564,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.batch < 1:
+        raise ConfigError(f"bench: --batch must be an integer >= 1, got {args.batch}")
     cfg, out_dir, params, spec, ds = _checkpoint_run(args)
     with _Stage("bench"):
         stats = M.inference_bench(params, spec, ds.X, warmup=cfg.bench_warmup,
@@ -541,88 +607,43 @@ def cmd_inspect(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--csv", help="flow-record CSV with a header row")
-    p.add_argument("--synth", action="store_const", const=True, default=None,
-                   help="use the synthetic generator as the data source")
-    p.add_argument("--label-column", dest="label_column")
-    p.add_argument("--synth-classes", dest="synth_classes", type=int)
-    p.add_argument("--synth-per-class", dest="synth_per_class", type=int)
-    p.add_argument("--synth-seq-len", dest="synth_seq_len", type=int)
-    p.add_argument("--synth-separation", dest="synth_separation", type=float)
-    p.add_argument("--synth-imbalance", dest="synth_imbalance",
-                   help="comma-separated per-class count fractions")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--train-frac", dest="train_frac", type=float)
-    p.add_argument("--no-scale", dest="scale", action="store_const", const=False,
-                   default=None, help="disable min-max feature scaling")
-    p.add_argument("--balancing", choices=["none", "ros", "smote"])
-    p.add_argument("--smote-k", dest="smote_k", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--loss", choices=T.LOSS_KINDS)
-    p.add_argument("--focal-gamma", dest="focal_gamma", type=float)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bigatid",
         description="dual-branch recurrent-attention intrusion detection workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train one variant end to end")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--variant", type=int)
-    p.add_argument("--dropout", type=float, help="dropout override for variant 4")
-    p.set_defaults(func=cmd_train)
+    def command(name, summary, func, checkpoint=False):
+        p = sub.add_parser(name, help=summary)
+        if checkpoint:
+            p.add_argument("--checkpoint", required=True)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for opt in sorted(_OPTIONS, key=lambda o: _GROUPS.index(o.group)):
+            if name in opt.commands and opt.group != "own":
+                opt.add_flag(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--checkpoint", required=True)
-    _add_data_flags(p)
-    p.set_defaults(func=cmd_evaluate)
+    command("train", "train one variant end to end", cmd_train)
+    command("evaluate", "evaluate a checkpoint on a dataset", cmd_evaluate, checkpoint=True)
+    command("ablate", "train/evaluate all 12 variants, both balancings", cmd_ablate)
 
-    p = sub.add_parser("ablate", help="train/evaluate all 12 variants, both balancings")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("loao", help="leave-one-attack-out zero-day protocol")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--variant", type=int)
+    p = command("loao", "leave-one-attack-out zero-day protocol", cmd_loao)
     p.add_argument("--held-out", dest="held_out", help="attack class to exclude")
     p.add_argument("--sweep", action="store_true", help="run every attack class in turn")
-    p.add_argument("--normal-class", dest="normal_class")
-    p.set_defaults(func=cmd_loao)
 
-    p = sub.add_parser("explain", help="Shapley attribution for a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    _add_data_flags(p)
+    p = command("explain", "Shapley attribution for a checkpoint", cmd_explain,
+                checkpoint=True)
     p.add_argument("--instances", type=int, default=E.ShapleySettings.n_instances)
     p.add_argument("--permutations", type=int, default=E.ShapleySettings.n_permutations)
     p.add_argument("--top-k", dest="top_k", type=int, default=10)
-    p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("bench", help="inference timing for a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    _add_data_flags(p)
+    p = command("bench", "inference timing for a checkpoint", cmd_bench, checkpoint=True)
     p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--bench-warmup", dest="bench_warmup", type=int)
-    p.add_argument("--bench-repeats", dest="bench_repeats", type=int)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    _add_data_flags(p)
+    p = command("synth", "generate a synthetic dataset CSV", cmd_synth)
     p.add_argument("--out", help="CSV output path (default <out-dir>/synth.csv)")
-    p.set_defaults(func=cmd_synth, synth=True)
+    p.set_defaults(synth=True)
 
     p = sub.add_parser("inspect", help="per-layer shape and parameter table")
     p.add_argument("--checkpoint")
@@ -632,6 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write the table to this JSON path")
     p.set_defaults(func=cmd_inspect)
 
+    for opt in _OPTIONS:  # a command's own run flags follow its other flags
+        for name in opt.commands if opt.group == "own" else ():
+            opt.add_flag(sub.choices[name])
     return parser
 
 

@@ -99,7 +99,10 @@ class TestTrain:
         assert "unknown config keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("epochs", "2"), ("synth", 1),
-                                            ("learning_rate", True)])
+                                            ("learning_rate", True), ("grad_clip", "1"),
+                                            ("dropout", "0.3"), ("csv", 5),
+                                            ("focal_alpha", "x"),
+                                            ("synth_imbalance", [1, "x"])])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"synth": True, key: value}))
@@ -120,15 +123,53 @@ class TestTrain:
         args = build_parser().parse_args(["train", "--config", str(cfg_path)])
         assert cli.merge_config(args).learning_rate == 1
 
-    def test_unknown_balancing_in_config_rejected(self, tmp_path, capsys):
-        # argparse `choices` guards the flag; the config file goes through
-        # the balance stage's own check
+    def test_config_echo_accepted_as_config_file(self, tmp_path):
+        # an echo holds null for every key whose default is unset
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"synth": True, "balancing": "undersample"}))
-        rc = main(["train", "--config", str(cfg_path), *SMALL, "--epochs", "1",
-                   "--out-dir", str(tmp_path)])
+        echo = dict(RUN_DEFAULTS, synth=True)
+        cfg_path.write_text(json.dumps(echo))
+        args = build_parser().parse_args(["train", "--config", str(cfg_path)])
+        assert cli.merge_config(args).echo() == echo
+
+    def test_unknown_balancing_in_config_rejected(self, tmp_path, capsys):
+        # argparse `choices` guards the flag; merging the config checks a
+        # file's value against the same choices, before any stage runs
+        cfg_path = tmp_path / "cfg.json"
+        for key, value in [("balancing", "undersample"), ("loss", "mse")]:
+            cfg_path.write_text(json.dumps({"synth": True, key: value}))
+            rc = main(["train", "--config", str(cfg_path), *SMALL, "--epochs", "1",
+                       "--out-dir", str(tmp_path)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"{key} must be one of" in err and value in err and "stage=" not in err
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train", "--seed", "-1", "--seed: seed must be >= 0, got -1"),
+        ("synth", "--seed", "-1", "--seed: seed must be >= 0, got -1"),
+        ("train", "--synth-imbalance", "a,b", "synth_imbalance must be of type list"),
+    ], ids=["train-seed", "synth-seed", "train-imbalance"])
+    def test_flag_value_rejected_before_any_stage(self, tmp_path, capsys, command, flag,
+                                                  value, message):
+        rc = main([command, "--synth", *SMALL, flag, value, "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert "undersample" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "stage=" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_in_config_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": True, "seed": -1}))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"{cfg_path}: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_comma_separated_imbalance_from_flag_and_config(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": True, "synth_imbalance": "1,0.5,0.25"}))
+        for argv in (["--synth", "--synth-imbalance", "1,0.5,0.25"],
+                     ["--config", str(cfg_path)]):
+            args = build_parser().parse_args(["train", *SMALL[:2], *argv])
+            assert cli.merge_config(args).synth_imbalance == [1.0, 0.5, 0.25]
 
 
 class TestSynthAndCsv:
@@ -300,13 +341,16 @@ class TestExplainBenchInspect:
         assert len(top["top_features"]) == 8
 
     @pytest.mark.parametrize("flag, setting", [("--instances", "n_instances"),
-                                               ("--permutations", "n_permutations")])
+                                               ("--permutations", "n_permutations"),
+                                               ("--top-k", "--top-k"),
+                                               ("--batch", "--batch")])
     def test_setting_below_one_rejected(self, tmp_path, capsys, flag, setting):
         # checked before the checkpoint is read: this one lacks a codec
         spec = tiny_bigat_spec()
         ckpt = tmp_path / "m.bgid"
         MOD.save(build(spec, RngStream(0)), spec, {}, ckpt)
-        rc = main(["explain", "--checkpoint", str(ckpt), "--synth", *SMALL,
+        command = "bench" if flag == "--batch" else "explain"
+        rc = main([command, "--checkpoint", str(ckpt), "--synth", *SMALL,
                    "--out-dir", str(tmp_path / "ex"), flag, "0"])
         assert rc == 1
         err = capsys.readouterr().err
@@ -401,6 +445,12 @@ class TestEnvironmentVariables:
         monkeypatch.setenv("BIGATID_SEED", "abc")
         assert main(["train", "--synth", "--out-dir", str(tmp_path)]) == 1
         assert "BIGATID_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_negative_seed_rejected(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("BIGATID_SEED", "-2")
+        assert main([command, "--synth", "--out-dir", str(tmp_path)]) == 1
+        assert "BIGATID_SEED: seed must be >= 0, got -2" in capsys.readouterr().err
 
     def test_flags_override_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIGATID_OUT_DIR", str(tmp_path / "envout"))
