@@ -130,30 +130,30 @@ _OPTIONS = (
     _Option("synth", False, bool, _RUN,
             help="use the synthetic generator as the data source"),
     _Option("label_column", "Label", str, _RUN),
-    _Option("synth_classes", 6, int, _RUN),
-    _Option("synth_per_class", 400, int, _RUN),
-    _Option("synth_seq_len", 20, int, _RUN),
+    _Option("synth_classes", 6, int, _RUN, minimum=2),
+    _Option("synth_per_class", 400, int, _RUN, minimum=1),
+    _Option("synth_seq_len", 20, int, _RUN, minimum=4),
     _Option("synth_separation", 6.0, float, _RUN),
     _Option("synth_imbalance", None, list, _RUN,
             help="comma-separated per-class count fractions"),
     _Option("train_frac", 0.8, float, _FIT, "fit"),
     _Option("scale", True, bool, _FIT, "fit", help="disable min-max feature scaling"),
     _Option("balancing", "none", str, _FIT, "fit", choices=["none", "ros", "smote"]),
-    _Option("smote_k", 5, int, _FIT, "fit"),
+    _Option("smote_k", 5, int, _FIT, "fit", minimum=1),
     _Option("variant", 4, int, ("train", "loao"), "model"),
     _Option("dropout", None, float, ("train",), "model",
             help="dropout override for variant 4"),
     _Option("learning_rate", T.TrainConfig.learning_rate, float, _FIT, "fit"),
-    _Option("batch_size", T.TrainConfig.batch_size, int, _FIT, "fit"),
-    _Option("epochs", T.TrainConfig.epochs, int, _FIT, "fit"),
+    _Option("batch_size", T.TrainConfig.batch_size, int, _FIT, "fit", minimum=1),
+    _Option("epochs", T.TrainConfig.epochs, int, _FIT, "fit", minimum=1),
     _Option("loss", T.TrainConfig.loss, str, _FIT, "fit", choices=T.LOSS_KINDS),
     _Option("focal_gamma", T.TrainConfig.focal_gamma, float, _FIT, "fit"),
     _Option("focal_alpha", T.TrainConfig.focal_alpha, list),  # per class: no flag
     _Option("grad_clip", T.TrainConfig.grad_clip, float, _FIT, "fit"),
     _Option("seed", T.TrainConfig.seed, int, _RUN, minimum=0),
     _Option("out_dir", "runs", str, _RUN),
-    _Option("bench_warmup", 1, int, ("bench",), "own"),
-    _Option("bench_repeats", 3, int, ("bench",), "own"),
+    _Option("bench_warmup", 1, int, ("bench",), "own", minimum=0),
+    _Option("bench_repeats", 3, int, ("bench",), "own", minimum=1),
     _Option("normal_class", "normal", str, ("loao",), "own"),
 )
 _OPTION = {o.key: o for o in _OPTIONS}

@@ -22,16 +22,7 @@ from .numerics import RngStream
 from .training import batched_probs
 
 EXACT_FEATURE_CAP = 12
-BATCH_ROWS = 2048  # feature rows per batched model evaluation
-# model_value_fn rounds each call's row count up to a multiple of ROW_QUANTUM
-# (within the batch size). The forward's largest activations, rows x T x 128
-# float64, come from glibc's heap below its 32 MiB mmap ceiling and stay
-# resident after they are freed; above it they are mapped and unmapped per
-# call. One instance's distinct-coalition count varies by a few rows, so
-# unrounded forwards can fall on both sides of the ceiling and keep both the
-# heap and the mapped buffers (at T=20 with 97 permutations: 1,619-1,654
-# rows, ceiling at 1,638, peak RSS +5%); rounded, they all run at 1,664 rows.
-ROW_QUANTUM = 128
+BATCH_ROWS = 2048  # coalition rows per call of the value function f
 
 
 @dataclass
@@ -176,16 +167,13 @@ def _walk_keys(perms: np.ndarray) -> np.ndarray:
     return np.packbits(grown, axis=2).reshape(p * (m + 1), (m + 7) // 8)
 
 
-def model_value_fn(params: dict, spec: VariantSpec, batch_size: int = BATCH_ROWS):
+def model_value_fn(params: dict, spec: VariantSpec):
     """Wrap the model as a batched feature-row function: (k, T) -> (k, c)
-    eval-mode class probabilities. The batch is padded with copies of its
-    last row up to a multiple of ROW_QUANTUM rows, at most `batch_size`."""
+    eval-mode class probabilities, through `batched_probs` in forwards of
+    at most its EVAL_BATCH rows."""
     def f(rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
-        k = rows.shape[0]
-        pad = max(0, min(-k % ROW_QUANTUM, batch_size - k))
-        rows = np.pad(rows, ((0, pad), (0, 0)), mode="edge")
-        return batched_probs(params, spec, rows.reshape(k + pad, -1, 1), batch_size)[:k]
+        return batched_probs(params, spec, rows.reshape(rows.shape[0], -1, 1))
     return f
 
 
@@ -208,7 +196,7 @@ def attribution_summary(params: dict, spec: VariantSpec, eval_sample: Dataset,
     if len(eval_sample) == 0:
         raise ValueError("attribution_summary: evaluation sample is empty")
     bg = background_mean_of(background if background is not None else eval_sample)
-    f = model_value_fn(params, spec, batch_size=settings.batch_size)
+    f = model_value_fn(params, spec)
     n = min(settings.n_instances, len(eval_sample))
     pick = rng.permutation(len(eval_sample))[:n]
     feats = eval_sample.features()

@@ -1,21 +1,15 @@
-"""Float64 primitives shared by the layers and the tests: the shape and
-numeric error types, float64 coercion, an overflow-safe sigmoid, a row
-softmax, a deterministic seeded RNG stream, and the central
-finite-difference gradient oracle used to validate every backward pass."""
+"""Float64 primitives shared by the layers: the shape error type, float64
+coercion, an overflow-safe sigmoid, a row softmax and a deterministic
+seeded RNG stream. The finite-difference gradient oracle that checks every
+backward pass lives with the tests, in tests/conftest.py."""
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_FD_STEP = 1e-5
-
 
 class ShapeError(ValueError):
     """Raised when tensor shapes do not satisfy an operation's contract."""
-
-
-class NumericError(ArithmeticError):
-    """Raised when a computation produces non-finite values."""
 
 
 def as_f64(x) -> np.ndarray:
@@ -53,44 +47,6 @@ def softmax_rows(x: np.ndarray, out: np.ndarray | None = None,
     if lse is not None:
         np.add(np.log(total), top, out=lse)
     return out
-
-
-def finite_diff_grad(f, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function: (f(x+h*e_i)-f(x-h*e_i))/2h.
-
-    This is the independent oracle every analytic backward pass is checked
-    against; it never shares code with the layers it validates.
-    """
-    if h <= 0:
-        raise ValueError("finite_diff_grad: h must be positive")
-    x = as_f64(x).copy()
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(x))
-        flat[i] = orig - h
-        fm = float(f(x))
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"finite_diff_grad: non-finite evaluation at coordinate {i}")
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def grad_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Max absolute deviation relative to the larger gradient magnitude.
-
-    The unit floor keeps the measure absolute for (near-)zero gradients,
-    where central-difference noise would otherwise dominate the ratio.
-    """
-    analytic = as_f64(analytic)
-    numeric = as_f64(numeric)
-    scale = max(float(np.abs(analytic).max(initial=0.0)),
-                float(np.abs(numeric).max(initial=0.0)), 1.0)
-    return float(np.abs(analytic - numeric).max(initial=0.0)) / scale
 
 
 class RngStream:

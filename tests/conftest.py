@@ -1,15 +1,60 @@
-"""Shared test helpers: tiny model configs, gradient-check plumbing and
-traced memory peaks."""
+"""Shared test helpers: the finite-difference gradient oracle, tiny model
+configs, gradient-check plumbing and traced memory peaks."""
 
 from __future__ import annotations
 
 import dataclasses
 import tracemalloc
 
+import numpy as np
+
 from bigatid.model import BlockSpec, VariantSpec, backward, build, forward
-from bigatid.numerics import RngStream, finite_diff_grad, grad_mismatch
+from bigatid.numerics import RngStream, as_f64
 
 GRAD_TOL = 1e-4
+DEFAULT_FD_STEP = 1e-5
+
+
+class NumericError(ArithmeticError):
+    """Raised when a computation produces non-finite values."""
+
+
+def finite_diff_grad(f, x: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central-difference gradient of a scalar function: (f(x+h*e_i)-f(x-h*e_i))/2h.
+
+    This is the independent oracle every analytic backward pass is checked
+    against; it never shares code with the layers it validates.
+    """
+    if h <= 0:
+        raise ValueError("finite_diff_grad: h must be positive")
+    x = as_f64(x).copy()
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = float(f(x))
+        flat[i] = orig - h
+        fm = float(f(x))
+        flat[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericError(f"finite_diff_grad: non-finite evaluation at coordinate {i}")
+        gflat[i] = (fp - fm) / (2.0 * h)
+    return grad
+
+
+def grad_mismatch(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max absolute deviation relative to the larger gradient magnitude.
+
+    The unit floor keeps the measure absolute for (near-)zero gradients,
+    where central-difference noise would otherwise dominate the ratio.
+    """
+    analytic = as_f64(analytic)
+    numeric = as_f64(numeric)
+    scale = max(float(np.abs(analytic).max(initial=0.0)),
+                float(np.abs(numeric).max(initial=0.0)), 1.0)
+    return float(np.abs(analytic - numeric).max(initial=0.0)) / scale
 
 
 def tiny_bigat_spec(dropout: float = 0.0) -> VariantSpec:

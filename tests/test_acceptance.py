@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_layer_grads, check_model_grads, shrink_variant, tiny_bigat_spec
+from conftest import (check_layer_grads, check_model_grads, finite_diff_grad, grad_mismatch,
+                      shrink_variant, tiny_bigat_spec)
 from bigatid import data as D
 from bigatid import layers as L
 from bigatid import metrics as M
@@ -27,7 +28,7 @@ from bigatid.model import (
     save,
     table5_variants,
 )
-from bigatid.numerics import RngStream, finite_diff_grad, grad_mismatch, softmax_rows
+from bigatid.numerics import RngStream, softmax_rows
 from bigatid.training import cce_loss, focal_loss
 
 

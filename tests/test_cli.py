@@ -147,10 +147,24 @@ class TestTrain:
         ("train", "--seed", "-1", "--seed: seed must be >= 0, got -1"),
         ("synth", "--seed", "-1", "--seed: seed must be >= 0, got -1"),
         ("train", "--synth-imbalance", "a,b", "synth_imbalance must be of type list"),
-    ], ids=["train-seed", "synth-seed", "train-imbalance"])
+        ("train", "--epochs", "0", "--epochs: epochs must be >= 1, got 0"),
+        ("train", "--batch-size", "0", "--batch-size: batch_size must be >= 1, got 0"),
+        ("train", "--smote-k", "0", "--smote-k: smote_k must be >= 1, got 0"),
+        ("synth", "--synth-classes", "1", "--synth-classes: synth_classes must be >= 2, got 1"),
+        ("synth", "--synth-per-class", "0",
+         "--synth-per-class: synth_per_class must be >= 1, got 0"),
+        ("synth", "--synth-seq-len", "3", "--synth-seq-len: synth_seq_len must be >= 4, got 3"),
+        ("bench", "--bench-warmup", "-1", "--bench-warmup: bench_warmup must be >= 0, got -1"),
+        ("bench", "--bench-repeats", "0", "--bench-repeats: bench_repeats must be >= 1, got 0"),
+    ], ids=["train-seed", "synth-seed", "train-imbalance", "train-epochs", "train-batch-size",
+            "train-smote-k", "synth-classes", "synth-per-class", "synth-seq-len",
+            "bench-warmup", "bench-repeats"])
     def test_flag_value_rejected_before_any_stage(self, tmp_path, capsys, command, flag,
                                                   value, message):
-        rc = main([command, "--synth", *SMALL, flag, value, "--out-dir", str(tmp_path)])
+        # bench's checkpoint is never read: the merge rejects the value first
+        checkpoint = ["--checkpoint", str(tmp_path / "m.bgid")] if command == "bench" else []
+        rc = main([command, *checkpoint, "--synth", *SMALL, flag, value,
+                   "--out-dir", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert message in err and "stage=" not in err

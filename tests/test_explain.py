@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import tiny_bigat_spec, traced_peak
-from bigatid import data as D, explain as E
+from bigatid import data as D, training as T
 from bigatid.explain import (
     Attribution,
     ShapleySettings,
@@ -13,9 +13,9 @@ from bigatid.explain import (
     shapley_exact_small,
     shapley_permutation,
 )
-from bigatid.model import VariantSpec, build, predict
+from bigatid.model import VariantSpec, build, forward, predict
 from bigatid.numerics import RngStream
-from bigatid.training import TrainConfig, batched_probs, train
+from bigatid.training import TrainConfig, train
 
 
 def surrogate_8(rows):
@@ -294,21 +294,21 @@ class TestModelEstimator:
         scale = max(np.abs(exact).max(), 1e-6)
         assert np.abs(mc - exact).max() < 0.05 * scale + 1e-4
 
-    @pytest.mark.parametrize("k, batch_size, model_rows", [
-        (1, 2048, 128), (130, 2048, 256), (130, 200, 200), (5, 3, 5)])
-    def test_value_fn_pads_rows_and_returns_only_the_given_ones(
-            self, monkeypatch, k, batch_size, model_rows):
+    @pytest.mark.parametrize("k", [1, 130, 513, 1664])
+    def test_value_fn_forwards_unpadded_eval_batch_chunks(self, monkeypatch, k):
         seen = []
 
-        def counting(params, spec, X, batch_size):
-            seen.append(len(X))
-            return batched_probs(params, spec, X, batch_size)
-        monkeypatch.setattr(E, "batched_probs", counting)
+        def counting(params, spec, X, **kwargs):
+            seen.append(X.copy())
+            return forward(params, spec, X, **kwargs)
+        monkeypatch.setattr(T, "forward", counting)
         spec = tiny_spec_for(6, 3, rate=0.0)
         params = build(spec, RngStream(12))
         rows = RngStream(13).normal(size=(k, 6))
-        out = model_value_fn(params, spec, batch_size=batch_size)(rows)
-        assert seen == [model_rows]
+        out = model_value_fn(params, spec)(rows)
+        assert [len(X) for X in seen] == [min(T.EVAL_BATCH, k - s)
+                                          for s in range(0, k, T.EVAL_BATCH)]
+        assert np.array_equal(np.concatenate(seen), rows[:, :, None])
         assert out.shape == (k, 3)
         assert np.abs(out - predict(params, spec, rows[:, :, None])).max() <= 1e-12
 
@@ -365,7 +365,7 @@ class TestAttributionSummary:
         settings = ShapleySettings(n_instances=5, n_permutations=24, batch_size=40)
         att = attribution_summary(params, spec, ds, settings, RngStream(27))
 
-        f = model_value_fn(params, spec, batch_size=settings.batch_size)
+        f = model_value_fn(params, spec)
         bg = background_mean_of(ds)
         rng = RngStream(27)
         pick = rng.permutation(len(ds))[:5]

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import check_layer_grads, traced_peak
+from conftest import check_layer_grads, finite_diff_grad, grad_mismatch, traced_peak
 from bigatid import layers as L
-from bigatid.numerics import RngStream, ShapeError, finite_diff_grad, grad_mismatch, sigmoid
+from bigatid.numerics import RngStream, ShapeError, sigmoid
 
 
 class TestDense:

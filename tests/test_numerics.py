@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import NumericError, finite_diff_grad
 from bigatid.layers import LayerNormParams, layer_norm_forward
-from bigatid.numerics import NumericError, RngStream, finite_diff_grad, sigmoid, softmax_rows
+from bigatid.numerics import RngStream, sigmoid, softmax_rows
 
 
 class TestActivations:

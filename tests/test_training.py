@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import check_model_grads, tiny_bigat_spec, traced_peak
+from conftest import (check_model_grads, finite_diff_grad, grad_mismatch, tiny_bigat_spec,
+                      traced_peak)
 from bigatid import training
 from bigatid import data as D
 from bigatid import layers as L
 from bigatid.model import bigat_spec, build
-from bigatid.numerics import RngStream, finite_diff_grad, grad_mismatch, softmax_rows
+from bigatid.numerics import RngStream, softmax_rows
 from bigatid.training import (
     AdamState,
     TrainConfig,
