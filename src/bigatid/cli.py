@@ -71,10 +71,11 @@ def derive_seed(*keys: int) -> int:
 @dataclass(frozen=True)
 class _Option:
     """One run key: its default and type, the subcommands whose parser has its
-    flag, that flag's choices and help, and the least value the key takes. A
-    bool key's flag stores the opposite of its default, so one that is on by
-    default is --no-KEY. `group` places the flag in a command's help: after
-    --config come the data, fit and model flags; `own` flags come last."""
+    flag, that flag's choices and help, and the interval its value lies in,
+    "[a, b)" or "(a, b)", where b may be inf. A bool key's flag stores the
+    opposite of its default, so one that is on by default is --no-KEY.
+    `group` places the flag in a command's help: after --config come the
+    data, fit and model flags; `own` flags come last."""
     key: str
     default: object
     type: type
@@ -82,7 +83,7 @@ class _Option:
     group: str = "data"
     choices: tuple | list | None = None
     help: str | None = None
-    minimum: int | None = None
+    bound: str | None = None
 
     @property
     def flag(self) -> str:
@@ -113,11 +114,22 @@ class _Option:
                                     else self.type.__name__)
         elif self.choices is not None and value not in self.choices:
             problem = f"one of {list(self.choices)}"
-        elif self.minimum is not None and value < self.minimum:
-            problem = f">= {self.minimum}"
-        else:
+        elif (problem := self._outside_bound(value)) is None:
             return value
         raise ConfigError(f"{origin}: {self.key} must be {problem}, got {value!r}")
+
+    def _outside_bound(self, value) -> str | None:
+        """None when `value` lies in `bound`, else what the key must be: ">= a"
+        or "> a" for an interval up to inf, "in [a, b)" for a range."""
+        if self.bound is None:
+            return None
+        low, high = self.bound.split(", ")
+        a = float(low[1:])
+        if ((value >= a) if low[0] == "[" else (value > a)) and value < float(high[:-1]):
+            return None
+        if high != "inf)":
+            return f"in {self.bound}"
+        return (">= " if low[0] == "[" else "> ") + low[1:]
 
 
 _RUN = ("train", "evaluate", "ablate", "loao", "explain", "bench", "synth")
@@ -130,30 +142,32 @@ _OPTIONS = (
     _Option("synth", False, bool, _RUN,
             help="use the synthetic generator as the data source"),
     _Option("label_column", "Label", str, _RUN),
-    _Option("synth_classes", 6, int, _RUN, minimum=2),
-    _Option("synth_per_class", 400, int, _RUN, minimum=1),
-    _Option("synth_seq_len", 20, int, _RUN, minimum=4),
+    _Option("synth_classes", 6, int, _RUN, bound="[2, inf)"),
+    _Option("synth_per_class", 400, int, _RUN, bound="[1, inf)"),
+    _Option("synth_seq_len", 20, int, _RUN, bound="[4, inf)"),
     _Option("synth_separation", 6.0, float, _RUN),
     _Option("synth_imbalance", None, list, _RUN,
             help="comma-separated per-class count fractions"),
-    _Option("train_frac", 0.8, float, _FIT, "fit"),
+    _Option("train_frac", 0.8, float, _FIT, "fit", bound="(0, 1)"),
     _Option("scale", True, bool, _FIT, "fit", help="disable min-max feature scaling"),
     _Option("balancing", "none", str, _FIT, "fit", choices=["none", "ros", "smote"]),
-    _Option("smote_k", 5, int, _FIT, "fit", minimum=1),
+    _Option("smote_k", 5, int, _FIT, "fit", bound="[1, inf)"),
     _Option("variant", 4, int, ("train", "loao"), "model"),
     _Option("dropout", None, float, ("train",), "model",
-            help="dropout override for variant 4"),
-    _Option("learning_rate", T.TrainConfig.learning_rate, float, _FIT, "fit"),
-    _Option("batch_size", T.TrainConfig.batch_size, int, _FIT, "fit", minimum=1),
-    _Option("epochs", T.TrainConfig.epochs, int, _FIT, "fit", minimum=1),
+            help="dropout override for variant 4", bound="[0, 1)"),
+    _Option("learning_rate", T.TrainConfig.learning_rate, float, _FIT, "fit",
+            bound="(0, inf)"),
+    _Option("batch_size", T.TrainConfig.batch_size, int, _FIT, "fit", bound="[1, inf)"),
+    _Option("epochs", T.TrainConfig.epochs, int, _FIT, "fit", bound="[1, inf)"),
     _Option("loss", T.TrainConfig.loss, str, _FIT, "fit", choices=T.LOSS_KINDS),
-    _Option("focal_gamma", T.TrainConfig.focal_gamma, float, _FIT, "fit"),
+    _Option("focal_gamma", T.TrainConfig.focal_gamma, float, _FIT, "fit",
+            bound="[0, inf)"),
     _Option("focal_alpha", T.TrainConfig.focal_alpha, list),  # per class: no flag
-    _Option("grad_clip", T.TrainConfig.grad_clip, float, _FIT, "fit"),
-    _Option("seed", T.TrainConfig.seed, int, _RUN, minimum=0),
+    _Option("grad_clip", T.TrainConfig.grad_clip, float, _FIT, "fit", bound="(0, inf)"),
+    _Option("seed", T.TrainConfig.seed, int, _RUN, bound="[0, inf)"),
     _Option("out_dir", "runs", str, _RUN),
-    _Option("bench_warmup", 1, int, ("bench",), "own", minimum=0),
-    _Option("bench_repeats", 3, int, ("bench",), "own", minimum=1),
+    _Option("bench_warmup", 1, int, ("bench",), "own", bound="[0, inf)"),
+    _Option("bench_repeats", 3, int, ("bench",), "own", bound="[1, inf)"),
     _Option("normal_class", "normal", str, ("loao",), "own"),
 )
 _OPTION = {o.key: o for o in _OPTIONS}

@@ -192,15 +192,19 @@ def load_csv(path, label_column: str = "Label") -> RawTable:
     cell once. A column is numeric when every non-empty cell parses as a real
     (an all-empty column too), else categorical; the label column is always
     categorical. Also records which rows are the first with their exact field
-    strings, for `clean`. Raises RaggedRowError naming the first row whose
-    field count differs from the header's."""
+    strings, for `clean`. The file is UTF-8, with or without a byte-order
+    mark. Raises RaggedRowError naming the first row whose field count differs
+    from the header's, and DataError for a header that names a column twice."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 columns = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: file is empty, expected a header row") from None
+            if len(set(columns)) < len(columns):
+                twice = next(c for i, c in enumerate(columns) if c in columns[:i])
+                raise DataError(f"{path}: header names column {twice!r} more than once")
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(columns):
@@ -209,6 +213,9 @@ def load_csv(path, label_column: str = "Label") -> RawTable:
                 rows.append(tuple(row))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: file is not UTF-8: cannot decode byte "
+                        f"0x{exc.object[exc.start]:02x}") from exc
     if label_column not in columns:
         raise MissingLabelError(f"{path}: label column {label_column!r} not found in "
                                 f"header {columns}")
@@ -375,27 +382,84 @@ def ros_balance(ds: Dataset, rng: RngStream) -> Dataset:
     return ds.subset(idx)
 
 
-# Cells of the (rows, m, T) difference block that _nearest_neighbours holds
-# at once: 512 kB of float64, so a block stays in cache. Its memory grows
-# with m*T, never with m^2*T. A sweep of 2^14-2^21 cells on the benchmark's
-# class sizes (m = 46-285, T = 83) found 2^15-2^17 fastest, 2^20 about 1.6x
-# slower, and the unblocked (m, m, T) broadcast slower still.
+# Cells of float64 that one block of _nearest_neighbours holds at once. The
+# rows of a block are set by the larger of its (rows, m) GEMM distances and
+# its (rows, candidates, T) exact recheck, and those of the exact path by its
+# (rows, m, T) differences. A GEMM block may hold m*T cells, one row of
+# exact differences, when that is more, so a large class spreads each GEMM
+# over enough rows; memory grows with m*T, never with m^2*T. On the
+# benchmark's minority classes (m = 46-285, T = 83, k = 5) the recheck is
+# the larger array, and 512 kB keeps a block in cache. In a sweep of
+# 2^12-2^19 cells there, larger blocks were at most about 1.3x faster, and
+# 2^18 cells (2 MB) added about 0.7 MB to ingest_csv's peak RSS.
 _NEIGHBOUR_BLOCK_CELLS = 1 << 16
 
 
+def _exact_neighbours(pts: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Indices (len(rows), k) of the k nearest other rows of pts to each of
+    pts[rows], from every exact squared distance ((a - b)^2).sum() and a
+    stable argsort, so ties go to the lower index."""
+    m, t = pts.shape
+    step = max(1, _NEIGHBOUR_BLOCK_CELLS // (m * t))
+    neigh = np.empty((rows.size, k), dtype=np.intp)
+    for s in range(0, rows.size, step):
+        r = rows[s:s + step]
+        diff = pts[r, None, :] - pts[None, :, :]  # (len(r), m, T)
+        d2 = np.square(diff, out=diff).sum(axis=2)
+        d2[np.arange(r.size), r] = np.inf
+        neigh[s:s + step] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return neigh
+
+
 def _nearest_neighbours(pts: np.ndarray, k: int) -> np.ndarray:
-    """Indices (m, k) of each row's k nearest other rows of pts (m, T), by
-    the exact squared distance ((a - b)^2).sum() and a stable argsort, so
-    ties go to the lower index. Computed for blocks of rows at a time."""
-    m = pts.shape[0]
-    rows = max(1, _NEIGHBOUR_BLOCK_CELLS // max(1, m * pts.shape[1]))
+    """Indices (m, k) of each row's k nearest other rows of pts (m, T),
+    identical to `_exact_neighbours` over every row: by the exact squared
+    distance ((a - b)^2).sum() and a stable argsort, so ties go to the lower
+    index. Computed for blocks of rows at a time, in three steps:
+
+    1. GEMM distances ||a||^2 + ||b||^2 - 2 a.b pick each row's c = 2k
+       nearest candidates (or all m - 1 others) with one argpartition.
+    2. The exact distance to each candidate is recomputed by the same
+       contiguous reduction over T, so it is bit-identical.
+    3. A stable sort of the candidates, in index order, picks the k nearest.
+
+    A GEMM distance is within half of bound = 4 (T + 2) (eps (||a||^2 +
+    max ||b||^2) + tiny) of the exact one, so the candidates hold every
+    true neighbour when no other row's GEMM distance is within `bound` of
+    the k-th candidate's. A row for which that is not proved, as with many
+    tied rows, takes the exact path; so does every row when a squared norm
+    is not finite or is near overflow."""
+    m, t = pts.shape
+    with np.errstate(over="ignore"):  # an overflowing norm takes the exact path
+        sq = np.square(pts).sum(axis=1)
+    top, fi = sq.max(), np.finfo(np.float64)
+    if not top < fi.max / 16:
+        return _exact_neighbours(pts, np.arange(m), k)
+    c = min(m - 1, 2 * k)
+    bound = 4 * (t + 2) * (fi.eps * (sq + top) + fi.tiny)
+    rows = max(1, max(_NEIGHBOUR_BLOCK_CELLS, m * t) // max(m, c * t))
     neigh = np.empty((m, k), dtype=np.intp)
     for s in range(0, m, rows):
         e = min(s + rows, m)
-        diff = pts[s:e, None, :] - pts[None, :, :]  # (e - s, m, T)
+        i = np.arange(e - s)
+        d = pts[s:e] @ pts.T                          # (e - s, m)
+        d *= -2.0
+        d += sq[s:e, None]
+        d += sq
+        d[i, s + i] = np.inf
+        # place c holds the nearest row left out, or the row itself when c = m - 1
+        part = np.argpartition(d, c, axis=1)
+        cand = np.sort(part[:, :c], axis=1)
+        kth = np.partition(d[i[:, None], cand], k - 1, axis=1)[:, k - 1]
+        proved = d[i, part[:, c]] > kth + bound[s:e]
+        diff = pts[cand]                              # (e - s, c, T)
+        np.subtract(pts[s:e, None, :], diff, out=diff)
         d2 = np.square(diff, out=diff).sum(axis=2)
-        d2[np.arange(e - s), np.arange(s, e)] = np.inf
-        neigh[s:e] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        neigh[s:e] = np.take_along_axis(cand, order, axis=1)
+        redo = s + np.flatnonzero(~proved)
+        if redo.size:
+            neigh[redo] = _exact_neighbours(pts, redo, k)
     return neigh
 
 
@@ -404,8 +468,10 @@ def smote_balance(ds: Dataset, rng: RngStream, k: int = 5) -> Dataset:
     interpolating between a member and one of its k nearest same-class
     neighbors (Euclidean on the flattened features, ties to the earlier
     member), x + lambda*(z - x), lambda ~ U[0, 1). Neighbours are found in
-    row blocks, so memory grows with the class size, not with its square.
-    Classes of size 1 fall back to duplication with a warning."""
+    row blocks, so memory grows with the class size, not with its square:
+    candidates by GEMM distances, ranked by their exact distances, so they
+    are those of the exact all-pairs search. Classes of size 1 fall back to
+    duplication with a warning."""
     if k < 1:
         raise DataError(f"smote_balance: k must be >= 1, got {k}")
     counts = ds.class_counts()

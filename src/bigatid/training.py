@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSS_KINDS}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ValueError("grad_clip must be positive")
 
 
 @dataclass

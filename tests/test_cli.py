@@ -156,9 +156,19 @@ class TestTrain:
         ("synth", "--synth-seq-len", "3", "--synth-seq-len: synth_seq_len must be >= 4, got 3"),
         ("bench", "--bench-warmup", "-1", "--bench-warmup: bench_warmup must be >= 0, got -1"),
         ("bench", "--bench-repeats", "0", "--bench-repeats: bench_repeats must be >= 1, got 0"),
+        ("train", "--grad-clip", "-1", "--grad-clip: grad_clip must be > 0, got -1.0"),
+        ("train", "--grad-clip", "0", "--grad-clip: grad_clip must be > 0, got 0.0"),
+        ("train", "--learning-rate", "-1",
+         "--learning-rate: learning_rate must be > 0, got -1.0"),
+        ("train", "--focal-gamma", "-1", "--focal-gamma: focal_gamma must be >= 0, got -1.0"),
+        ("train", "--dropout", "1", "--dropout: dropout must be in [0, 1), got 1.0"),
+        ("train", "--train-frac", "1.5", "--train-frac: train_frac must be in (0, 1), got 1.5"),
+        ("train", "--train-frac", "0", "--train-frac: train_frac must be in (0, 1), got 0.0"),
     ], ids=["train-seed", "synth-seed", "train-imbalance", "train-epochs", "train-batch-size",
             "train-smote-k", "synth-classes", "synth-per-class", "synth-seq-len",
-            "bench-warmup", "bench-repeats"])
+            "bench-warmup", "bench-repeats", "train-grad-clip-negative", "train-grad-clip-zero",
+            "train-learning-rate", "train-focal-gamma", "train-dropout", "train-frac-above",
+            "train-frac-zero"])
     def test_flag_value_rejected_before_any_stage(self, tmp_path, capsys, command, flag,
                                                   value, message):
         # bench's checkpoint is never read: the merge rejects the value first

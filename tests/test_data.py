@@ -61,6 +61,22 @@ class TestLoadCsv:
         with pytest.raises(D.DataError):
             D.load_csv(tmp_path / "missing.csv")
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        t = D.load_csv(write_csv(tmp_path / "bom.csv", "\ufeffLabel,a\nx,1\n"))
+        assert t.columns == ["Label", "a"]
+        assert column(t, "Label").tolist() == ["x"]
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,Label\n1,caf\xe9\n")
+        with pytest.raises(D.DataError, match=r"latin1\.csv: file is not UTF-8.*0xe9"):
+            D.load_csv(path)
+
+    def test_duplicate_header_name_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "dup.csv", "a,b,a,Label\n1,2,3,x\n")
+        with pytest.raises(D.DataError, match=r"dup\.csv: header names column 'a' more than once"):
+            D.load_csv(path)
+
 
 class TestClean:
     def test_infinite_cell_dropped_and_counted(self, tmp_path):
@@ -512,6 +528,43 @@ def reference_smote(ds, rng, k):
         new_X.append(D.to_sequences(x0 + lam * (pts[neigh[base, pick]] - x0)))
         new_y.append(np.full(need, cls, dtype=np.int64))
     return np.concatenate(new_X), np.concatenate(new_y)
+
+
+@st.composite
+def neighbour_cases(draw):
+    """A family name, points (m, T), k and a block budget from one cell to
+    the whole (m, m, T) broadcast. The families: a small integer grid with
+    repeated rows (exact ties), 1e8 plus small noise (the GEMM form
+    cancels), magnitudes near 1e160 (squared norms overflow) and uniform
+    points."""
+    m = draw(st.integers(2, 60))
+    t = draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(6, m - 1)))
+    family = draw(st.sampled_from(["grid", "cancel", "huge", "uniform"]))
+    rng = RngStream(draw(st.integers(0, 2**32 - 1)))
+    if family == "grid":
+        pts = rng.integers(-2, 3, size=(m, t)).astype(np.float64)
+        pts[rng.integers(0, m, size=m // 2)] = pts[rng.integers(0, m, size=m // 2)]
+    elif family == "cancel":
+        pts = 1e8 + 1e-3 * rng.normal(size=(m, t))
+    elif family == "huge":
+        scale = 10.0 ** rng.uniform(size=(m, 1), low=150, high=160)
+        pts = scale * rng.uniform(size=(m, t), low=-1.0)
+    else:
+        pts = rng.uniform(size=(m, t))
+    return family, pts, k, draw(st.integers(1, m * m * t))
+
+
+class TestNearestNeighbours:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(case=neighbour_cases())
+    def test_matches_exact_reference(self, case):
+        family, pts, k, cells = case
+        # exact distances between huge points overflow to inf, as they should
+        with pytest.MonkeyPatch.context() as mp, np.errstate(
+                over="ignore" if family == "huge" else "warn"):
+            mp.setattr(D, "_NEIGHBOUR_BLOCK_CELLS", cells)
+            assert np.array_equal(D._nearest_neighbours(pts, k), reference_neighbours(pts, k))
 
 
 class TestSynthGenerate:

@@ -164,6 +164,8 @@ class TestTrainConfig:
         {"focal_gamma": -0.5},
         {"loss": "mse"},
         {"epochs": 0},
+        {"grad_clip": 0.0},
+        {"grad_clip": -1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
