@@ -152,7 +152,7 @@ _OPTIONS = (
     _Option("scale", True, bool, _FIT, "fit", help="disable min-max feature scaling"),
     _Option("balancing", "none", str, _FIT, "fit", choices=["none", "ros", "smote"]),
     _Option("smote_k", 5, int, _FIT, "fit", bound="[1, inf)"),
-    _Option("variant", 4, int, ("train", "loao"), "model"),
+    _Option("variant", 4, int, ("train", "loao"), "model", bound="[1, 13)"),
     _Option("dropout", None, float, ("train",), "model",
             help="dropout override for variant 4", bound="[0, 1)"),
     _Option("learning_rate", T.TrainConfig.learning_rate, float, _FIT, "fit",
@@ -227,6 +227,10 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
             merged[opt.key] = opt.check(flag_val, opt.flag)
     if bool(merged["csv"]) == bool(merged["synth"]):
         raise ConfigError("exactly one data source required: pass --csv PATH or --synth")
+    if (getattr(args, "command", None) in _OPTION["variant"].commands
+            and merged["dropout"] is not None and merged["variant"] != 4):
+        raise ConfigError(f"dropout override is only supported for variant 4, "
+                          f"got variant {merged['variant']}")
     return RunConfig(values=merged)
 
 
@@ -398,7 +402,7 @@ def _checkpoint_run(args):
     cfg, out_dir = _start(args)
     with _Stage("checkpoint"):
         params, spec, metadata = MOD.load(args.checkpoint)
-        if not isinstance(metadata, dict) or "codec" not in metadata:
+        if "codec" not in metadata:
             raise MOD.CheckpointFormatError(f"checkpoint {args.checkpoint} has no label "
                                             "codec: its metadata lacks 'codec'")
         codec = D.LabelCodec.from_dict(metadata["codec"])

@@ -398,7 +398,9 @@ _NEIGHBOUR_BLOCK_CELLS = 1 << 16
 def _exact_neighbours(pts: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     """Indices (len(rows), k) of the k nearest other rows of pts to each of
     pts[rows], from every exact squared distance ((a - b)^2).sum() and a
-    stable argsort, so ties go to the lower index."""
+    stable argsort, so ties go to the lower index. The row itself is taken
+    out of its order by index, not by distance: an overflowed distance is
+    inf, and would tie with an inf on the diagonal."""
     m, t = pts.shape
     step = max(1, _NEIGHBOUR_BLOCK_CELLS // (m * t))
     neigh = np.empty((rows.size, k), dtype=np.intp)
@@ -406,8 +408,8 @@ def _exact_neighbours(pts: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
         r = rows[s:s + step]
         diff = pts[r, None, :] - pts[None, :, :]  # (len(r), m, T)
         d2 = np.square(diff, out=diff).sum(axis=2)
-        d2[np.arange(r.size), r] = np.inf
-        neigh[s:s + step] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        order = np.argsort(d2, axis=1, kind="stable")
+        neigh[s:s + step] = order[order != r[:, None]].reshape(r.size, m - 1)[:, :k]
     return neigh
 
 

@@ -1,6 +1,7 @@
-"""Shapley-value feature attribution: an exact coalition-enumeration oracle
-for small feature counts, an unbiased Monte Carlo permutation estimator,
-and per-class mean-|value| summaries over an evaluation sample.
+"""Shapley-value feature attribution: an unbiased Monte Carlo permutation
+estimator and per-class mean-|value| summaries over an evaluation sample.
+The exact coalition-enumeration oracle it is tested against lives with the
+tests.
 
 Absent features are replaced by the background feature means (a single
 reference baseline): cheap, deterministic, and sufficient for ranking-level
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,7 +21,6 @@ from .model import VariantSpec
 from .numerics import RngStream
 from .training import batched_probs
 
-EXACT_FEATURE_CAP = 12
 BATCH_ROWS = 2048  # coalition rows per call of the value function f
 
 
@@ -85,35 +84,6 @@ class Attribution:
 def _as_2d(vals: np.ndarray) -> np.ndarray:
     vals = np.asarray(vals, dtype=np.float64)
     return vals[:, None] if vals.ndim == 1 else vals
-
-
-def shapley_exact_small(f, x: np.ndarray, background_mean: np.ndarray) -> np.ndarray:
-    """Exact Shapley values by enumerating all 2^m coalitions (m <= 12).
-
-    f maps a (k, m) batch of feature rows to (k,) or (k, p) outputs; absent
-    features take the background mean. Returns (m,) or (m, p) values.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    bg = np.asarray(background_mean, dtype=np.float64).reshape(-1)
-    m = x.size
-    if m > EXACT_FEATURE_CAP:
-        raise ValueError(f"shapley_exact_small: {m} features exceeds the "
-                         f"2^{EXACT_FEATURE_CAP} enumeration cap")
-    masks = np.arange(2 ** m, dtype=np.int64)
-    present = (masks[:, None] >> np.arange(m)) & 1       # (2^m, m)
-    rows = np.where(present.astype(bool), x, bg)
-    vals = _as_2d(f(rows))                               # (2^m, p)
-    sizes = present.sum(axis=1)
-    fact = [math.factorial(i) for i in range(m + 1)]
-    weight_by_size = np.array([fact[s] * fact[m - 1 - s] / fact[m] for s in range(m)])
-
-    out = np.zeros((m, vals.shape[1]))
-    for i in range(m):
-        without = masks[(masks >> i) & 1 == 0]
-        w = weight_by_size[sizes[without]]
-        diff = vals[without + (1 << i)] - vals[without]
-        out[i] = (w[:, None] * diff).sum(axis=0)
-    return out[:, 0] if out.shape[1] == 1 else out
 
 
 def shapley_permutation(f, x: np.ndarray, background_mean: np.ndarray,

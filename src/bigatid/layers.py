@@ -12,10 +12,12 @@ themselves. The recurrent and attention forwards take `train`: when it is
 False they keep nothing for a backward pass and the cache is None.
 
 Self-attention runs over batch tiles of about _TILE_ROWS rows (batch rows x
-steps), forward and backward, and every intermediate (QKV, scores, merged
-heads and their gradients) is one tile's worth. The train cache is x and
-each score row's log-sum-exp, (x, lse): the backward recomputes each tile's
-QKV, its attention A = exp(scores - lse) and the merged heads A V from them
+steps), and every intermediate (QKV, scores, merged heads and their
+gradients) is one tile's worth. Its forward and backward run one tile
+routine, which computes each tile's Q, K, V and scores, so the backward
+recomputes exactly what the forward normalised. The train cache is x and
+each score row's log-sum-exp, (x, lse), from which the backward rebuilds
+each tile's attention A = exp(scores - lse) and merged heads A V
 (FlashAttention, Dao et al. 2022; recomputation, Chen et al. 2016), so
 attention memory grows with the batch only through x, the output and dx.
 """
@@ -276,8 +278,9 @@ def _gate_blocks(w: np.ndarray, k: int) -> np.ndarray:
 
 
 def _bias_kernel(w: np.ndarray, bias: np.ndarray, k: int = 1) -> np.ndarray:
-    """A (d, k*n) kernel and its bias as one (k, d+1, n) kernel for _affine:
-    the bias is the weight row of a constant-1 input column."""
+    """A (d, k*n) kernel and its bias as one (k, d+1, n) kernel for inputs
+    from _ones_column: the bias is the weight row of the constant-1 column,
+    so one batched GEMM adds it and no pass over the output does."""
     return _gate_blocks(np.concatenate([w, bias[None]]), k)
 
 
@@ -289,14 +292,6 @@ def _ones_column(x: np.ndarray) -> np.ndarray:
     return x1.reshape(-1, x1.shape[-1])
 
 
-def _affine(x: np.ndarray, w1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x (..., d) @ w + bias for w1 = _bias_kernel(w, bias, k), as (k, m, n)
-    with m the product of the leading dimensions: one batched GEMM, k blocks
-    of output columns, written into `out` if given. The constant-1 input
-    column carries the bias, so no pass over the output adds it."""
-    return np.matmul(_ones_column(x), w1, out=out)
-
-
 # ---------------------------------------------------------------------------
 # GRU / BiGRU
 # ---------------------------------------------------------------------------
@@ -306,7 +301,8 @@ def _input_projection(x: np.ndarray, w: np.ndarray, bias: np.ndarray, k: int) ->
     gate-major and time-major, so each gate's slice at each step is one
     contiguous block."""
     b, t, _ = x.shape
-    return _affine(x.transpose(1, 0, 2), _bias_kernel(w, bias, k)).reshape(k, t, b, -1)
+    x1 = _ones_column(x.transpose(1, 0, 2))
+    return np.matmul(x1, _bias_kernel(w, bias, k)).reshape(k, t, b, -1)
 
 
 def _input_backward(w: np.ndarray, x: np.ndarray, da: np.ndarray):
@@ -528,16 +524,31 @@ def _tiles(b: int, t: int) -> tuple[list[slice], int]:
     return [slice(i, min(i + n, b)) for i in range(0, b, n)], n
 
 
-def _heads(qkv: np.ndarray):
-    """Q, K and V as (b, h, T, d_k) views of a (b, T, 3, h, d_k) buffer."""
-    return qkv.transpose(2, 0, 3, 1, 4)
-
-
-def _qkv_kernel(p: MhaParams) -> np.ndarray:
-    """[Wq | Wk | Wv] and [bq | bk | bv] as one (1, d_model+1, 3*h*d_k)
-    kernel for _affine."""
-    return _bias_kernel(np.concatenate([p.Wq, p.Wk, p.Wv], axis=1),
-                        np.concatenate([p.bq, p.bk, p.bv]))
+def _attention_tiles(p: MhaParams, x: np.ndarray, heads: int, d_k: int):
+    """The tile work mha_self_forward and mha_self_backward share, so the
+    backward recomputes exactly the scores the forward normalised. For each
+    tile s of _tiles (m rows), x1 is x[s] with a constant-1 column; one GEMM
+    of it against [Wq | Wk | Wv] and their bias row fills an (m, T, 3, h, d_k)
+    buffer whose (m, h, T, d_k) views are q, k and v; scores = Q K^T /
+    sqrt(d_k). Yields (s, x1, merged, q, k, v, scores), merged an unfilled
+    (m, T, h, d_k) buffer for A V. Every buffer is one tile, reused."""
+    b, t, _ = x.shape
+    w1 = _bias_kernel(np.concatenate([p.Wq, p.Wk, p.Wv], axis=1),
+                      np.concatenate([p.bq, p.bk, p.bv]))
+    scale = 1.0 / np.sqrt(d_k)
+    tiles, n = _tiles(b, t)
+    qkv = np.empty((n, t, 3, heads, d_k))
+    merged = np.empty((n, t, heads, d_k))
+    scores = np.empty((n, heads, t, t))
+    for s in tiles:
+        m = s.stop - s.start
+        x1 = _ones_column(x[s])
+        np.matmul(x1, w1, out=qkv[:m].reshape(1, m * t, -1))
+        q, k, v = qkv[:m].transpose(2, 0, 3, 1, 4)
+        a = scores[:m]
+        np.matmul(q, k.transpose(0, 1, 3, 2), out=a)
+        a *= scale
+        yield s, x1, merged[:m], q, k, v, a
 
 
 def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: bool = True):
@@ -545,15 +556,12 @@ def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: b
     heads concatenated then projected back to d_model. No mask, no
     positional encoding. x (b, T, d_model) -> (b, T, d_model).
 
-    The batch runs in tiles of max(1, _TILE_ROWS // T) rows. Each tile does
-    one GEMM against [Wq | Wk | Wv] (bias row included), its scores, scale
-    and row softmax in one tile-sized buffer, A V into the tile's merged
-    heads, and the Wo GEMM straight into its slice of the output. The QKV,
-    score and merged-head buffers are one tile each, reused, in train and
-    eval alike. Eval keeps nothing. Train's cache is (x, lse) with heads and
-    d_k: x and each score row's log-sum-exp (b, h, T, 1), from which the
-    backward recomputes each tile's QKV, A and merged heads, so the cache
-    grows with the batch only as x does.
+    Each tile of _attention_tiles takes the row softmax of its scores in
+    place, A V into its merged heads and the Wo GEMM straight into its slice
+    of the output, in train and eval alike. Eval keeps nothing. Train's
+    cache is (x, lse) with heads and d_k: x and each score row's log-sum-exp
+    (b, h, T, 1), from which the backward recomputes each tile's A and
+    merged heads, so the cache grows with the batch only as x does.
 
     The key bias bk adds q.bk to every score of a query's row, and softmax is
     invariant to a per-row shift, so bk has no effect on the output and its
@@ -563,35 +571,23 @@ def mha_self_forward(p: MhaParams, x: np.ndarray, heads: int, d_k: int, train: b
     if heads * d_k != p.Wq.shape[1]:
         raise ShapeError(f"mha: heads*d_k = {heads * d_k} != projection width {p.Wq.shape[1]}")
     b, t, d_model = x.shape
-    w1 = _qkv_kernel(p)
-    scale = 1.0 / np.sqrt(d_k)
-    tiles, n = _tiles(b, t)
-    qkv = np.empty((n, t, 3, heads, d_k))
-    merged = np.empty((n, t, heads, d_k))
-    scores = np.empty((n, heads, t, t))
     lse = np.empty((b, heads, t, 1)) if train else None
     y = np.empty((b, t, d_model))
-    for s in tiles:
+    for s, _, merged, _, _, v, a in _attention_tiles(p, x, heads, d_k):
         m = s.stop - s.start
-        _affine(x[s], w1, out=qkv[:m].reshape(1, m * t, -1))
-        q, k, v = _heads(qkv[:m])
-        a = scores[:m]
-        np.matmul(q, k.transpose(0, 1, 3, 2), out=a)
-        a *= scale
         softmax_rows(a, out=a, lse=lse[s] if train else None)
-        np.matmul(a, v, out=merged[:m].transpose(0, 2, 1, 3))
+        np.matmul(a, v, out=merged.transpose(0, 2, 1, 3))
         y_s = y[s].reshape(m * t, d_model)
-        np.matmul(merged[:m].reshape(m * t, -1), p.Wo, out=y_s)
+        np.matmul(merged.reshape(m * t, -1), p.Wo, out=y_s)
         y_s += p.bo
     cache = (x, lse, heads, d_k) if train else None
     return y, cache
 
 
 def mha_self_backward(p: MhaParams, cache, dy: np.ndarray):
-    """Gradients of mha_self_forward, one pass over the forward's tiles.
-    Each tile recomputes its QKV with the forward's GEMM (so Q, K and V are
-    bit-identical to the forward's), A = exp(Q K^T / sqrt(d_k) - lse) and
-    the merged heads O = A V; then dO = dy Wo^T, dV = A^T dO,
+    """Gradients of mha_self_forward, one pass over the same _attention_tiles,
+    so each tile's scores are bit-identical to the forward's. A = exp(scores
+    - lse) and the merged heads O = A V; then dO = dy Wo^T, dV = A^T dO,
     dS = A * (dO V^T - rowsum(dO * O)) / sqrt(d_k), dQ = dS K and
     dK = dS^T Q go into one tile-sized (m, T, 3, h, d_k) buffer, from which
     dW_qkv and the biases accumulate, and dx against [Wq | Wk | Wv]^T is
@@ -599,38 +595,29 @@ def mha_self_backward(p: MhaParams, cache, dy: np.ndarray):
     x, lse, heads, d_k = cache
     b, t, d_model = x.shape
     hd = heads * d_k
-    w1 = _qkv_kernel(p)
-    w_qkv_t = w1[0, :-1].T
+    w_qkv_t = np.concatenate([p.Wq, p.Wk, p.Wv], axis=1).T
     scale = 1.0 / np.sqrt(d_k)
-    tiles, n = _tiles(b, t)
-    qkv = np.empty((n, t, 3, heads, d_k))
-    dqkv = np.empty_like(qkv)
-    merged = np.empty((n, t, heads, d_k))
-    do = np.empty_like(merged)
-    attn = np.empty((n, heads, t, t))
-    dscores = np.empty_like(attn)
+    n = _tiles(b, t)[1]
+    dqkv = np.empty((n, t, 3, heads, d_k))
+    do = np.empty((n, t, heads, d_k))
+    dscores = np.empty((n, heads, t, t))
     dWo = np.zeros((hd, d_model))
     dw1 = np.zeros((d_model + 1, 3 * hd))
     dx = np.empty((b, t, d_model))
-    for s in tiles:
+    for s, x1, merged, q, k, v, a in _attention_tiles(p, x, heads, d_k):
         m = s.stop - s.start
-        x1 = _ones_column(x[s])
-        np.matmul(x1, w1, out=qkv[:m].reshape(1, m * t, -1))    # = _affine(x[s], w1)
-        q, k, v = _heads(qkv[:m])
-        dq, dk, dv = _heads(dqkv[:m])
-        a, da = attn[:m], dscores[:m]
-        np.matmul(q, k.transpose(0, 1, 3, 2), out=a)
-        a *= scale
         a -= lse[s]
         np.exp(a, out=a)
-        np.matmul(a, v, out=merged[:m].transpose(0, 2, 1, 3))
+        np.matmul(a, v, out=merged.transpose(0, 2, 1, 3))
         dy_s = dy[s].reshape(m * t, d_model)
-        dWo += merged[:m].reshape(m * t, hd).T @ dy_s
+        dWo += merged.reshape(m * t, hd).T @ dy_s
         np.matmul(dy_s, p.Wo.T, out=do[:m].reshape(m * t, hd))
         do_s = do[:m].transpose(0, 2, 1, 3)
+        dq, dk, dv = dqkv[:m].transpose(2, 0, 3, 1, 4)
+        da = dscores[:m]
         np.matmul(a.transpose(0, 1, 3, 2), do_s, out=dv)
         np.matmul(do_s, v.transpose(0, 1, 3, 2), out=da)
-        da -= np.einsum("bthd,bthd->bht", do[:m], merged[:m])[..., None]  # rowsum(dO * O)
+        da -= np.einsum("bthd,bthd->bht", do[:m], merged)[..., None]  # rowsum(dO * O)
         da *= a
         da *= scale
         np.matmul(da, k, out=dq)

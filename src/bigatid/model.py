@@ -732,6 +732,9 @@ def load(path):
         manifest = [(m["name"], tuple(m["shape"]), m["crc32"]) for m in header["tensors"]]
         np_dtype = _DTYPES[header["dtype"]]
         metadata = header["metadata"]
+        if not isinstance(metadata, dict):
+            raise CheckpointFormatError(f"malformed checkpoint header: metadata is a JSON "
+                                        f"{type(metadata).__name__}, not an object")
         expected = param_manifest(spec)  # ConstructionError is a ValueError
     except KeyError as exc:
         raise CheckpointFormatError(f"malformed checkpoint header: missing or unknown "

@@ -1,18 +1,22 @@
-"""Shared test helpers: the finite-difference gradient oracle, tiny model
-configs, gradient-check plumbing and traced memory peaks."""
+"""Shared test helpers: the finite-difference gradient oracle, the exact
+Shapley oracle, tiny model configs, gradient-check plumbing and traced
+memory peaks."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 
+from bigatid.explain import _as_2d
 from bigatid.model import BlockSpec, VariantSpec, backward, build, forward
 from bigatid.numerics import RngStream, as_f64
 
 GRAD_TOL = 1e-4
 DEFAULT_FD_STEP = 1e-5
+EXACT_FEATURE_CAP = 12
 
 
 class NumericError(ArithmeticError):
@@ -149,3 +153,32 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def shapley_exact_small(f, x: np.ndarray, background_mean: np.ndarray) -> np.ndarray:
+    """Exact Shapley values by enumerating all 2^m coalitions (m <= 12).
+
+    f maps a (k, m) batch of feature rows to (k,) or (k, p) outputs; absent
+    features take the background mean. Returns (m,) or (m, p) values.
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    bg = np.asarray(background_mean, dtype=np.float64).reshape(-1)
+    m = x.size
+    if m > EXACT_FEATURE_CAP:
+        raise ValueError(f"shapley_exact_small: {m} features exceeds the "
+                         f"2^{EXACT_FEATURE_CAP} enumeration cap")
+    masks = np.arange(2 ** m, dtype=np.int64)
+    present = (masks[:, None] >> np.arange(m)) & 1       # (2^m, m)
+    rows = np.where(present.astype(bool), x, bg)
+    vals = _as_2d(f(rows))                               # (2^m, p)
+    sizes = present.sum(axis=1)
+    fact = [math.factorial(i) for i in range(m + 1)]
+    weight_by_size = np.array([fact[s] * fact[m - 1 - s] / fact[m] for s in range(m)])
+
+    out = np.zeros((m, vals.shape[1]))
+    for i in range(m):
+        without = masks[(masks >> i) & 1 == 0]
+        w = weight_by_size[sizes[without]]
+        diff = vals[without + (1 << i)] - vals[without]
+        out[i] = (w[:, None] * diff).sum(axis=0)
+    return out[:, 0] if out.shape[1] == 1 else out

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import (check_layer_grads, check_model_grads, finite_diff_grad, grad_mismatch,
-                      shrink_variant, tiny_bigat_spec)
+                      shapley_exact_small, shrink_variant, tiny_bigat_spec)
 from bigatid import data as D
 from bigatid import layers as L
 from bigatid import metrics as M
 from bigatid.cli import main
-from bigatid.explain import shapley_exact_small, shapley_permutation
+from bigatid.explain import shapley_permutation
 from bigatid.model import (
     CheckpointChecksumError,
     bigat_spec,

@@ -164,11 +164,13 @@ class TestTrain:
         ("train", "--dropout", "1", "--dropout: dropout must be in [0, 1), got 1.0"),
         ("train", "--train-frac", "1.5", "--train-frac: train_frac must be in (0, 1), got 1.5"),
         ("train", "--train-frac", "0", "--train-frac: train_frac must be in (0, 1), got 0.0"),
+        ("train", "--variant", "13", "--variant: variant must be in [1, 13), got 13"),
+        ("loao", "--variant", "0", "--variant: variant must be in [1, 13), got 0"),
     ], ids=["train-seed", "synth-seed", "train-imbalance", "train-epochs", "train-batch-size",
             "train-smote-k", "synth-classes", "synth-per-class", "synth-seq-len",
             "bench-warmup", "bench-repeats", "train-grad-clip-negative", "train-grad-clip-zero",
             "train-learning-rate", "train-focal-gamma", "train-dropout", "train-frac-above",
-            "train-frac-zero"])
+            "train-frac-zero", "train-variant", "loao-variant"])
     def test_flag_value_rejected_before_any_stage(self, tmp_path, capsys, command, flag,
                                                   value, message):
         # bench's checkpoint is never read: the merge rejects the value first
@@ -179,6 +181,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert message in err and "stage=" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, argv, config, message", [
+        ("train", ["--variant", "3", "--dropout", "0.2"], None,
+         "dropout override is only supported for variant 4, got variant 3"),
+        ("train", [], {"variant": 3, "dropout": 0.2},
+         "dropout override is only supported for variant 4, got variant 3"),
+        ("loao", ["--sweep"], {"variant": 7, "dropout": 0.2},
+         "dropout override is only supported for variant 4, got variant 7"),
+        ("train", [], {"variant": 13}, "variant must be in [1, 13), got 13"),
+        ("loao", ["--sweep"], {"variant": 0}, "variant must be in [1, 13), got 0"),
+    ], ids=["train-flags", "train-config", "loao-config", "train-config-range",
+            "loao-config-range"])
+    def test_variant_rejected_before_any_stage(self, tmp_path, capsys, command, argv, config,
+                                               message):
+        out = tmp_path / "out"
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg_path)]
+        assert main([command, "--synth", *SMALL, *argv, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "stage=" not in err
+        assert not out.exists()
 
     def test_negative_seed_in_config_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -402,6 +427,16 @@ class TestExplainBenchInspect:
         run_train(tmp_path)
         assert main(["inspect", "--checkpoint", str(tmp_path / "checkpoint.bgid")]) == 0
         assert "(None, 8, 1)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("metadata", [[1, 2], "text"], ids=["list", "string"])
+    def test_inspect_checkpoint_whose_metadata_is_not_an_object(self, tmp_path, capsys,
+                                                                metadata):
+        spec = tiny_bigat_spec()
+        ckpt = tmp_path / "m.bgid"
+        MOD.save(build(spec, RngStream(0)), spec, metadata, ckpt)
+        assert main(["inspect", "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert "[stage=checkpoint]" in err and "metadata is a JSON" in err
 
     def test_inspect_requires_one_target(self, capsys):
         assert main(["inspect"]) == 1

@@ -502,10 +502,11 @@ class TestSmoteBalance:
 
 
 def reference_neighbours(pts, k):
-    """Each row's k nearest other rows from the whole (m, m, T) broadcast."""
+    """Each row's k nearest other rows from the whole (m, m, T) broadcast;
+    the row itself is dropped by index, since an overflowed distance is inf."""
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    order = np.argsort(d2, axis=1, kind="stable")
+    return order[order != np.arange(len(pts))[:, None]].reshape(len(pts), -1)[:, :k]
 
 
 def reference_smote(ds, rng, k):
@@ -565,6 +566,14 @@ class TestNearestNeighbours:
                 over="ignore" if family == "huge" else "warn"):
             mp.setattr(D, "_NEIGHBOUR_BLOCK_CELLS", cells)
             assert np.array_equal(D._nearest_neighbours(pts, k), reference_neighbours(pts, k))
+
+    def test_row_is_not_its_own_neighbour_when_distances_overflow(self):
+        # every squared distance overflows to inf, so an inf placed on the
+        # diagonal would tie with them, and rows 0 and 1 would list themselves
+        pts = np.array([[1e160, 0], [2e160, 0], [3e160, 0], [-1e160, 5]])
+        with np.errstate(over="ignore"):
+            neigh = D._nearest_neighbours(pts, 2)
+        assert neigh.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1]]
 
 
 class TestSynthGenerate:

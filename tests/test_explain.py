@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_bigat_spec, traced_peak
+from conftest import shapley_exact_small, tiny_bigat_spec, traced_peak
 from bigatid import data as D, training as T
 from bigatid.explain import (
     Attribution,
@@ -10,7 +10,6 @@ from bigatid.explain import (
     attribution_summary,
     background_mean_of,
     model_value_fn,
-    shapley_exact_small,
     shapley_permutation,
 )
 from bigatid.model import VariantSpec, build, forward, predict

@@ -360,6 +360,8 @@ MALFORMED_HEADERS = [
     *(pytest.param(_set(eps, "spec", "ln_eps"), "ln_eps", id=f"ln-eps-{eps}")
       for eps in (0.0, -1e-3, float("nan"), 1e-5, "abc")),
     pytest.param(_set(1, "spec", "branches", 0, 0, "colour"), "colour", id="block-unknown-key"),
+    pytest.param(_set([1, 2], "metadata"), "metadata is a JSON list", id="metadata-a-list"),
+    pytest.param(_set("text", "metadata"), "metadata is a JSON str", id="metadata-a-string"),
 ]
 
 
