@@ -408,6 +408,15 @@ def _checkpoint_run(args):
         codec = D.LabelCodec.from_dict(metadata["codec"])
         scaler = (None if metadata.get("scaler") is None
                   else D.ScalerParams.from_dict(metadata["scaler"]))
+        if len(codec.classes) != spec.n_classes:
+            raise MOD.CheckpointFormatError(
+                f"checkpoint {args.checkpoint} has a label codec of {len(codec.classes)} "
+                f"classes but a model of {spec.n_classes}")
+        for name, arr in vars(scaler).items() if scaler is not None else ():
+            if arr.shape != (spec.seq_len,):
+                raise MOD.CheckpointFormatError(
+                    f"checkpoint {args.checkpoint} has scaler {name} of shape {arr.shape} "
+                    f"but a model of {spec.seq_len} features")
     ds = load_source_dataset(cfg, RngStream(cfg.seed), codec=codec)
     # a CSV is encoded with `codec`; only synthetic classes can differ
     if tuple(ds.codec.classes) != tuple(codec.classes):
@@ -599,7 +608,8 @@ def cmd_synth(args) -> int:
     ds = load_source_dataset(cfg, RngStream(cfg.seed))
     csv_path = Path(args.out) if args.out else out_dir / "synth.csv"
     sidecar = csv_path.with_suffix(".sidecar.json")
-    D.save_dataset_csv(ds, csv_path, sidecar_path=sidecar)
+    with _Stage("persist"):
+        D.save_dataset_csv(ds, csv_path, sidecar_path=sidecar)
     print(f"wrote {len(ds)} rows to {csv_path}")
     return 0
 
@@ -617,7 +627,8 @@ def cmd_inspect(args) -> int:
     print(f"variant: {label}")
     print(MOD.format_inspect_table(spec))
     if args.json:
-        _write_json(args.json, MOD.inspect_table(spec))
+        with _Stage("persist"):
+            _write_json(args.json, MOD.inspect_table(spec))
     return 0
 
 

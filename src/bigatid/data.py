@@ -304,25 +304,22 @@ def encode(t: RawTable, codec: LabelCodec | None = None):
 # ---------------------------------------------------------------------------
 
 def fit_scaler(train_features: np.ndarray) -> ScalerParams:
-    f = np.asarray(train_features, dtype=np.float64)
-    return ScalerParams(mins=f.min(axis=0), maxs=f.max(axis=0))
+    return ScalerParams(mins=train_features.min(axis=0), maxs=train_features.max(axis=0))
 
 
 def apply_scaler(p: ScalerParams, features: np.ndarray) -> np.ndarray:
     """Min-max map to [0, 1]; constant features go to 0, out-of-range
     test-time values are clamped."""
-    f = np.asarray(features, dtype=np.float64)
     span = p.maxs - p.mins
     safe = np.where(span > 0, span, 1.0)
-    scaled = (f - p.mins) / safe
+    scaled = (features - p.mins) / safe
     scaled = np.where(span > 0, scaled, 0.0)
     return np.clip(scaled, 0.0, 1.0)
 
 
 def to_sequences(features: np.ndarray) -> np.ndarray:
     """(n, T) -> (n, T, 1): the feature axis becomes the time axis."""
-    f = np.asarray(features, dtype=np.float64)
-    return f.reshape(f.shape[0], f.shape[1], 1)
+    return features.reshape(features.shape[0], features.shape[1], 1)
 
 
 def one_hot(labels: np.ndarray, c: int) -> np.ndarray:
@@ -434,7 +431,7 @@ def _nearest_neighbours(pts: np.ndarray, k: int) -> np.ndarray:
     m, t = pts.shape
     with np.errstate(over="ignore"):  # an overflowing norm takes the exact path
         sq = np.square(pts).sum(axis=1)
-    top, fi = sq.max(), np.finfo(np.float64)
+    top, fi = sq.max(), np.finfo(pts.dtype)
     if not top < fi.max / 16:
         return _exact_neighbours(pts, np.arange(m), k)
     c = min(m - 1, 2 * k)

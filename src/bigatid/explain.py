@@ -142,7 +142,6 @@ def model_value_fn(params: dict, spec: VariantSpec):
     eval-mode class probabilities, through `batched_probs` in forwards of
     at most its EVAL_BATCH rows."""
     def f(rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.float64)
         return batched_probs(params, spec, rows.reshape(rows.shape[0], -1, 1))
     return f
 

@@ -31,7 +31,7 @@ class ConfusionMatrix:
 
     def normalized_rows(self) -> np.ndarray:
         """Each row divided by its sum; rows of absent classes stay zero."""
-        sums = self.counts.sum(axis=1, keepdims=True).astype(np.float64)
+        sums = self.counts.sum(axis=1, keepdims=True)
         safe = np.where(sums > 0, sums, 1.0)
         return np.where(sums > 0, self.counts / safe, 0.0)
 
@@ -82,9 +82,7 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
     trace/total; zero denominators score 0 and are flagged in `undefined`."""
     if cm.total == 0:
         raise ValueError("class_report: empty confusion matrix")
-    tp = cm.tp().astype(np.float64)
-    fp = cm.fp().astype(np.float64)
-    fn = cm.fn().astype(np.float64)
+    tp, fp, fn = cm.tp(), cm.fp(), cm.fn()
     support = cm.counts.sum(axis=1)
     undefined = []
     c = cm.n_classes
@@ -104,7 +102,7 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
     total = float(support.sum())
     weights = support / total
     return ClassReport(
-        precision=precision, recall=recall, f1=f1, support=support.astype(np.int64),
+        precision=precision, recall=recall, f1=f1, support=support,
         accuracy=float(tp.sum() / total),
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),
@@ -118,8 +116,7 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
 
 def fpr_per_class(cm: ConfusionMatrix) -> np.ndarray:
     """One-vs-rest FP/(FP+TN) per class; 0 when the denominator is empty."""
-    fp = cm.fp().astype(np.float64)
-    tn = cm.tn().astype(np.float64)
+    fp, tn = cm.fp(), cm.tn()
     denom = fp + tn
     return np.where(denom > 0, fp / np.where(denom > 0, denom, 1.0), 0.0)
 
@@ -154,7 +151,7 @@ def _binary_roc(pos: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.nda
     """Threshold sweep with equal scores grouped into one step; trapezoidal AUC."""
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    p = pos[order].astype(np.float64)
+    p = pos[order]
     boundaries = np.r_[np.flatnonzero(np.diff(s) != 0.0), s.size - 1]
     tp = np.cumsum(p)[boundaries]
     fp = (boundaries + 1.0) - tp
@@ -170,7 +167,6 @@ def roc_auc_ovr(y_true, probs: np.ndarray) -> list[RocCurve]:
     """Per-class one-vs-rest ROC over that class's score column. Classes
     absent from y_true (or filling it entirely) get auc=None."""
     y_true = np.asarray(y_true, dtype=np.int64)
-    probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[0] != y_true.shape[0]:
         raise ValueError(f"roc_auc_ovr: probs {probs.shape} does not match y {y_true.shape}")
     curves = []
@@ -216,7 +212,6 @@ def inference_bench(params, spec: VariantSpec, x: np.ndarray, warmup: int = 1,
     Timing only; predictions are unaffected by the batching."""
     if repeats < 1:
         raise ValueError("inference_bench: repeats must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 1:
         raise ValueError("inference_bench: need at least one instance")

@@ -682,6 +682,8 @@ def save(params: dict, spec: VariantSpec, metadata: dict, path, dtype: str = "f6
     the file at the cost of rounding."""
     if dtype not in _DTYPES:
         raise ValueError(f"save: dtype must be one of {sorted(_DTYPES)}")
+    if not isinstance(metadata, dict):  # load refuses any other header metadata
+        raise TypeError(f"save: metadata must be a dict, not {type(metadata).__name__}")
     np_dtype = _DTYPES[dtype]
     manifest = []
     payloads = []

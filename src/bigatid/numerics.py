@@ -1,7 +1,9 @@
-"""Float64 primitives shared by the layers: the shape error type, float64
-coercion, an overflow-safe sigmoid, a row softmax and a deterministic
-seeded RNG stream. The finite-difference gradient oracle that checks every
-backward pass lives with the tests, in tests/conftest.py."""
+"""Primitives shared by the layers: the shape error type, an overflow-safe
+sigmoid and a row softmax, which compute in their input's dtype, a
+deterministic seeded RNG stream, and `as_f64`, the float64 cast with which
+`model.forward` and `backward` take their arrays in. The finite-difference
+gradient oracle that checks every backward pass lives with the tests, in
+tests/conftest.py."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ulp of 1. Below about x = -38 the result is exactly 0, so relative
     accuracy is lost in that tail.
     """
-    out = np.multiply(as_f64(x), 0.5, out=out)
+    out = np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
@@ -38,7 +40,6 @@ def softmax_rows(x: np.ndarray, out: np.ndarray | None = None,
     (which may be `x` itself) to write the result there, and `lse` (shape
     `x.shape[:-1] + (1,)`) to receive each row's log-sum-exp, from which
     `exp(x - lse)` gives the softmax again."""
-    x = as_f64(x)
     top = x.max(axis=-1, keepdims=True)
     out = np.subtract(x, top, out=out)
     np.exp(out, out=out)

@@ -80,8 +80,6 @@ class History:
 def cce_loss(probs: np.ndarray, onehot: np.ndarray):
     """Mean categorical cross-entropy. Returns (loss, grad w.r.t. probs);
     composed with the softmax backward this yields (p - y)/batch on logits."""
-    probs = np.asarray(probs, dtype=np.float64)
-    onehot = np.asarray(onehot, dtype=np.float64)
     if probs.shape != onehot.shape:
         raise ValueError(f"cce_loss: shape mismatch {probs.shape} vs {onehot.shape}")
     b = probs.shape[0]
@@ -97,12 +95,10 @@ def focal_loss(probs: np.ndarray, onehot: np.ndarray, gamma: float = 2.0,
     the true-class probability. gamma=0, alpha=1 reduces to cce_loss."""
     if gamma < 0:
         raise ValueError("focal_loss: gamma must be >= 0")
-    probs = np.asarray(probs, dtype=np.float64)
-    onehot = np.asarray(onehot, dtype=np.float64)
     if probs.shape != onehot.shape:
         raise ValueError(f"focal_loss: shape mismatch {probs.shape} vs {onehot.shape}")
     b, c = probs.shape
-    alpha = np.ones(c) if alpha is None else np.asarray(alpha, dtype=np.float64)
+    alpha = np.ones(c) if alpha is None else alpha
     true_idx = onehot.argmax(axis=1)
     a_y = alpha[true_idx]
     p_y = np.clip((probs * onehot).sum(axis=1), PROB_FLOOR, 1.0)

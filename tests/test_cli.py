@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -234,6 +235,13 @@ class TestSynthAndCsv:
         assert rc == 0
         assert (tmp_path / "data.csv").read_bytes() == before  # inputs untouched
 
+    def test_synth_to_a_missing_directory_is_a_persist_error(self, tmp_path, capsys):
+        rc = main(["synth", "--synth-classes", "3", "--synth-per-class", "10",
+                   "--synth-seq-len", "8", "--out-dir", str(tmp_path),
+                   "--out", str(tmp_path / "missing" / "x.csv")])
+        assert rc == 1
+        assert "[stage=persist]" in capsys.readouterr().err
+
     def test_synth_deterministic(self, tmp_path):
         main(["synth", *SMALL, "--seed", "3", "--out-dir", str(tmp_path),
               "--out", str(tmp_path / "a.csv")])
@@ -294,6 +302,33 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(ckpt) in err and "'codec'" in err
+
+    def test_codec_of_fewer_classes_than_the_model_rejected(self, tmp_path, capsys):
+        csv = tmp_path / "two.csv"
+        main(["synth", "--synth-classes", "2", "--synth-per-class", "20",
+              "--synth-seq-len", "6", "--out-dir", str(tmp_path), "--out", str(csv)])
+        spec = tiny_bigat_spec()  # 3 classes
+        ckpt = tmp_path / "m.bgid"
+        MOD.save(build(spec, RngStream(0)), spec,
+                 {"codec": {"classes": ["attack_01", "normal"]}}, ckpt)
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--csv", str(csv),
+                   "--out-dir", str(tmp_path / "ev")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[stage=checkpoint]" in err and str(ckpt) in err and "codec" in err
+
+    def test_scaler_of_fewer_features_than_the_model_rejected(self, tmp_path, capsys):
+        spec = dataclasses.replace(tiny_bigat_spec(), seq_len=8)
+        ckpt = tmp_path / "m.bgid"
+        codec = D.LabelCodec.fit(["normal", "attack_01", "attack_02"])
+        MOD.save(build(spec, RngStream(0)), spec,
+                 {"codec": codec.to_dict(), "scaler": {"mins": [0.0] * 3, "maxs": [1.0] * 3}},
+                 ckpt)
+        rc = main(["evaluate", "--checkpoint", str(ckpt), "--synth", *SMALL,
+                   "--out-dir", str(tmp_path / "ev")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "[stage=checkpoint]" in err and str(ckpt) in err and "mins" in err
 
 
 class TestEvaluateModel:
@@ -433,10 +468,21 @@ class TestExplainBenchInspect:
                                                                 metadata):
         spec = tiny_bigat_spec()
         ckpt = tmp_path / "m.bgid"
-        MOD.save(build(spec, RngStream(0)), spec, metadata, ckpt)
+        MOD.save(build(spec, RngStream(0)), spec, {}, ckpt)
+        blob = ckpt.read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + hlen])
+        header["metadata"] = metadata
+        raw = json.dumps(header).encode()
+        ckpt.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + hlen:])
         assert main(["inspect", "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert "[stage=checkpoint]" in err and "metadata is a JSON" in err
+
+    def test_inspect_json_to_a_missing_directory_is_a_persist_error(self, tmp_path, capsys):
+        rc = main(["inspect", "--variant", "4", "--json", str(tmp_path / "missing" / "t.json")])
+        assert rc == 1
+        assert "[stage=persist]" in capsys.readouterr().err
 
     def test_inspect_requires_one_target(self, capsys):
         assert main(["inspect"]) == 1

@@ -536,18 +536,20 @@ def neighbour_cases(draw):
     """A family name, points (m, T), k and a block budget from one cell to
     the whole (m, m, T) broadcast. The families: a small integer grid with
     repeated rows (exact ties), 1e8 plus small noise (the GEMM form
-    cancels), magnitudes near 1e160 (squared norms overflow) and uniform
-    points."""
+    cancels), the same in float32 at 1e4, magnitudes near 1e160 (squared
+    norms overflow) and uniform points."""
     m = draw(st.integers(2, 60))
     t = draw(st.integers(1, 12))
     k = draw(st.integers(1, min(6, m - 1)))
-    family = draw(st.sampled_from(["grid", "cancel", "huge", "uniform"]))
+    family = draw(st.sampled_from(["grid", "cancel", "cancel32", "huge", "uniform"]))
     rng = RngStream(draw(st.integers(0, 2**32 - 1)))
     if family == "grid":
         pts = rng.integers(-2, 3, size=(m, t)).astype(np.float64)
         pts[rng.integers(0, m, size=m // 2)] = pts[rng.integers(0, m, size=m // 2)]
     elif family == "cancel":
         pts = 1e8 + 1e-3 * rng.normal(size=(m, t))
+    elif family == "cancel32":
+        pts = (1e4 + 1e-3 * rng.normal(size=(m, t))).astype(np.float32)
     elif family == "huge":
         scale = 10.0 ** rng.uniform(size=(m, 1), low=150, high=160)
         pts = scale * rng.uniform(size=(m, t), low=-1.0)

@@ -384,6 +384,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match=cause):
             load(path)
 
+    @pytest.mark.parametrize("metadata", [[1, 2], "text"], ids=["list", "string"])
+    def test_save_refuses_metadata_that_is_not_an_object(self, tmp_path, metadata):
+        params, spec = self.make_model()
+        path = tmp_path / "m.bgid"
+        with pytest.raises(TypeError, match=type(metadata).__name__):
+            save(params, spec, metadata, path)
+        assert not path.exists()
+
     def test_round_trip_bit_identical_predictions(self, tmp_path):
         params, spec = self.make_model()
         x = RngStream(78).normal(size=(5, 6, 1))

@@ -68,6 +68,15 @@ class TestSoftmax:
             assert np.abs(sums - 1.0).max() < 1e-12
 
 
+class TestDtype:
+    @pytest.mark.parametrize("fn", [sigmoid, softmax_rows])
+    def test_float32_input_computes_in_float32(self, fn):
+        x = RngStream(4).normal(size=(16, 9)) * 5
+        out = fn(x.astype(np.float32))
+        assert out.dtype == np.float32
+        assert np.abs(out - fn(x)).max() < 1e-6
+
+
 def layer_norm(x, gamma, beta, eps=1e-3):
     y, _ = layer_norm_forward(LayerNormParams(gamma=gamma, beta=beta), x, eps=eps)
     return y

@@ -1,7 +1,10 @@
-"""The library keeps no helper it never calls: each function and class that
-src/bigatid defines is named again somewhere in src/bigatid or perfbench,
-the library and its benchmark. Test-only helpers live with the tests."""
+"""Checks over the library's source text. The library keeps no helper it
+never calls: each function and class that src/bigatid defines is named
+again somewhere in src/bigatid or perfbench, the library and its benchmark.
+Test-only helpers live with the tests. And arrays become float64 only at
+the doors where they enter the library, so nothing inside re-casts them."""
 
+import ast
 import collections
 import tokenize
 from pathlib import Path
@@ -22,3 +25,50 @@ def test_every_library_definition_is_named_elsewhere():
     unused = sorted(name for name, n in defined.items() if named[name] == n
                     and not (name.startswith("__") and name.endswith("__")))
     assert unused == [], f"defined in src/bigatid and named nowhere else: {unused}"
+
+
+# The functions through which arrays enter the library: the model's forward
+# and backward and the checkpoint loader, the CSV parse, scaler JSON, the
+# focal alpha of a config, and what a caller hands the Shapley estimator,
+# with what its value function returns.
+DTYPE_DOORS = {
+    "numerics.as_f64", "model.forward", "model.backward", "model.load",
+    "data._parse_column", "data.encode", "data.ScalerParams.from_dict",
+    "training.loss_fn_for", "explain._as_2d", "explain.shapley_permutation",
+    "explain.background_mean_of",
+}
+
+
+def _owners(tree: ast.Module, module: str) -> tuple[dict[int, str], set[int]]:
+    """The innermost function or class that holds each line, by qualified
+    name, and the lines of import statements."""
+    owner, imports = {}, set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            lines = range(child.lineno, child.end_lineno + 1) if hasattr(child, "lineno") else ()
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                imports.update(lines)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                owner.update(dict.fromkeys(lines, name))
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return owner, imports
+
+
+def test_float64_is_named_only_at_the_doors():
+    named = set()
+    for path in sorted((ROOT / "src" / "bigatid").rglob("*.py")):
+        owner, imports = _owners(ast.parse(path.read_text()), path.stem)
+        with tokenize.open(path) as fh:
+            named.update(owner.get(tok.start[0], f"{path.stem}.<module>")
+                         for tok in tokenize.generate_tokens(fh.readline)
+                         if tok.type == tokenize.NAME and tok.string in ("float64", "as_f64")
+                         and tok.start[0] not in imports)
+    strays, idle = sorted(named - DTYPE_DOORS), sorted(DTYPE_DOORS - named)
+    assert strays == [], f"float64 or as_f64 named outside the doors, in {strays}"
+    assert idle == [], f"doors that name no float64, to drop from DTYPE_DOORS: {idle}"
