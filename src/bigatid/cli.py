@@ -3,17 +3,20 @@ synth, and inspect subcommands over JSON configs with flag overrides.
 
 Every report echoes the merged effective config and seed so a run can be
 reproduced exactly; artifacts (checkpoint, history CSV, ROC CSVs,
-attribution CSVs, report JSON) land in the output directory.
+attribution CSVs, report JSON) land in the output directory, each report
+file written by this module alone, inside its command's "persist" stage.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import os
 import sys
 import time
+import urllib.parse
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -238,7 +241,8 @@ def _start(args) -> tuple[RunConfig, Path]:
     """The merged config of a run and its output directory, created."""
     cfg = merge_config(args)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _Stage("persist"):
+        out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir
 
 
@@ -326,14 +330,25 @@ def _write_json(path, payload) -> None:
         json.dump(payload, fh, indent=2)
 
 
+def _write_csv(path, header, rows) -> None:
+    """A header row, then `rows`; a float, Python or numpy, is written as its
+    repr, so it reads back exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
+
 def _write_roc_csvs(report: M.EvalReport, out_dir: Path) -> list[str]:
+    """One roc_<label>.csv per defined curve; percent-quoting the label keeps
+    each file in `out_dir`, and distinct labels in distinct files."""
     paths = []
     for curve, name in zip(report.roc, report.class_names):
-        if not curve.defined:
-            continue
-        path = out_dir / f"roc_{name}.csv"
-        M.roc_points_to_csv(curve, path)
-        paths.append(str(path))
+        if curve.defined:
+            path = out_dir / f"roc_{urllib.parse.quote(name, safe='')}.csv"
+            _write_csv(path, ["fpr", "tpr"], zip(curve.fpr, curve.tpr))
+            paths.append(str(path))
     return paths
 
 
@@ -371,7 +386,8 @@ def cmd_train(args) -> int:
         }
         MOD.save(params, variant.spec, metadata, ckpt_path)
         history_path = out_dir / "history.csv"
-        history.to_csv(history_path)
+        _write_csv(history_path, [f.name for f in fields(T.EpochStats)],
+                   (vars(r).values() for r in history.rows))
         roc_paths = _write_roc_csvs(report, out_dir)
         run_report = {
             "config": cfg.echo(),
@@ -433,11 +449,11 @@ def cmd_evaluate(args) -> int:
     cfg, out_dir, params, spec, ds = _checkpoint_run(args)
     with _Stage("evaluate"):
         report = evaluate_model(params, spec, ds, cfg)
-    payload = {"config": cfg.echo(), "checkpoint": str(args.checkpoint),
-               "eval": report.to_json_dict()}
-    report_path = out_dir / "eval_report.json"
-    _write_json(report_path, payload)
-    _write_roc_csvs(report, out_dir)
+    with _Stage("persist"):
+        report_path = out_dir / "eval_report.json"
+        _write_json(report_path, {"config": cfg.echo(), "checkpoint": str(args.checkpoint),
+                                  "eval": report.to_json_dict()})
+        _write_roc_csvs(report, out_dir)
     row = report.table_row()
     print(f"acc {row['accuracy']:.4f}  loss {row['loss']:.4f}  f1 {row['f1']:.4f}  "
           f"fpr {row['fpr']:.4f}")
@@ -478,16 +494,13 @@ def cmd_ablate(args) -> int:
             acc = "-" if row["accuracy"] is None else f"{row['accuracy']:.4f}"
             print(f"#{variant.id:<3}{setting:<12}{row['status']:<8}acc {acc}")
 
-    csv_path = out_dir / "ablation.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("variant,label,canonical,param_total,setting,status,accuracy,loss,fpr\n")
-        for r in rows:
-            fh.write(",".join([
-                str(r["variant"]), f"\"{r['label']}\"", str(r["canonical"]).lower(),
-                str(r["param_total"]), r["setting"], r["status"],
-                *("" if r[k] is None else repr(r[k]) for k in ("accuracy", "loss", "fpr")),
-            ]) + "\n")
-    _write_json(out_dir / "ablation.json", {"config": cfg.echo(), "rows": rows})
+    columns = ["variant", "label", "canonical", "param_total", "setting", "status",
+               "accuracy", "loss", "fpr"]
+    with _Stage("persist"):
+        csv_path = out_dir / "ablation.csv"
+        _write_csv(csv_path, columns, ([str(r[k]).lower() if k == "canonical" else r[k]
+                                        for k in columns] for r in rows))
+        _write_json(out_dir / "ablation.json", {"config": cfg.echo(), "rows": rows})
     print(f"ablation table: {csv_path}")
     return 1 if any_failed else 0
 
@@ -507,6 +520,8 @@ def cmd_loao(args) -> int:
     if cfg.normal_class not in classes:
         raise ConfigError(f"normal class {cfg.normal_class!r} not in {classes}")
     if args.sweep:
+        if args.held_out:
+            raise ConfigError("pass --held-out CLASS or --sweep, not both")
         held_out_list = [c for c in classes if c != cfg.normal_class]
     else:
         if not args.held_out:
@@ -561,9 +576,9 @@ def cmd_loao(args) -> int:
         print(f"held-out {held_out}: retained acc {retained_acc:.4f}, "
               f"zero-day detection {detection_rate:.4f}")
 
-    payload = {"config": cfg.echo(), "results": results}
-    report_path = out_dir / "loao_report.json"
-    _write_json(report_path, payload)
+    with _Stage("persist"):
+        report_path = out_dir / "loao_report.json"
+        _write_json(report_path, {"config": cfg.echo(), "results": results})
     print(f"report: {report_path}")
     return 0
 
@@ -580,12 +595,20 @@ def cmd_explain(args) -> int:
     rng = RngStream(cfg.seed).spawn(7)
     with _Stage("attribution"):
         attribution = E.attribution_summary(params, spec, ds, settings, rng)
-    csv_path = out_dir / "attribution.csv"
-    attribution.to_csv(csv_path)
-    attribution.top_k_json(out_dir / "attribution_topk.json", k=args.top_k)
+    names, classes, values = attribution.feature_names, attribution.class_names, attribution.values
     order = attribution.ranking()[:args.top_k]
+    with _Stage("persist"):
+        csv_path = out_dir / "attribution.csv"
+        _write_csv(csv_path, ["feature", "class", "mean_abs_value"],
+                   ([f, c, values[i, j]] for i, f in enumerate(names)
+                    for j, c in enumerate(classes)))
+        _write_json(out_dir / "attribution_topk.json", {
+            "n_instances": attribution.n_instances, "n_permutations": attribution.n_permutations,
+            "top_features": [{"feature": names[i], "overall": float(values[i].mean()),
+                              "per_class": dict(zip(classes, map(float, values[i])))}
+                             for i in order]})
     for i in order:
-        print(f"{attribution.feature_names[i]:<8}{attribution.values[i].mean():.6f}")
+        print(f"{names[i]:<8}{values[i].mean():.6f}")
     print(f"attribution: {csv_path}")
     return 0
 
@@ -597,7 +620,8 @@ def cmd_bench(args) -> int:
     with _Stage("bench"):
         stats = M.inference_bench(params, spec, ds.X, warmup=cfg.bench_warmup,
                                   repeats=cfg.bench_repeats, batch_size=args.batch)
-    _write_json(out_dir / "bench.json", {"config": cfg.echo(), "bench": stats.to_dict()})
+    with _Stage("persist"):
+        _write_json(out_dir / "bench.json", {"config": cfg.echo(), "bench": stats.to_dict()})
     print(f"mean {stats.mean_sec_per_instance:.3e} s/inst  "
           f"median {stats.median_sec_per_instance:.3e}  p95 {stats.p95_sec_per_instance:.3e}")
     return 0
@@ -607,9 +631,9 @@ def cmd_synth(args) -> int:
     cfg, out_dir = _start(args)
     ds = load_source_dataset(cfg, RngStream(cfg.seed))
     csv_path = Path(args.out) if args.out else out_dir / "synth.csv"
-    sidecar = csv_path.with_suffix(".sidecar.json")
     with _Stage("persist"):
-        D.save_dataset_csv(ds, csv_path, sidecar_path=sidecar)
+        D.save_dataset_csv(ds, csv_path)
+        _write_json(csv_path.with_suffix(".sidecar.json"), {"codec": ds.codec.to_dict()})
     print(f"wrote {len(ds)} rows to {csv_path}")
     return 0
 

@@ -6,7 +6,6 @@ a synthetic desk-scale dataset generator."""
 from __future__ import annotations
 
 import csv
-import json
 import operator
 import warnings
 from dataclasses import dataclass, replace
@@ -524,6 +523,9 @@ def synth_generate(c: int, n_per_class: int, seq_len: int, separation: float,
         raise DataError("synth_generate: need c >= 2 and seq_len >= 4")
     if imbalance is not None and len(imbalance) != c:
         raise DataError(f"synth_generate: imbalance must list {c} fractions")
+    for frac in imbalance or ():
+        if not 0 < frac < np.inf:
+            raise DataError(f"synth_generate: imbalance fraction {frac!r} must be in (0, inf)")
     names = ["normal"] + [f"attack_{i:02d}" for i in range(1, c)]
     codec = LabelCodec.fit(names)
 
@@ -551,9 +553,8 @@ def synth_generate(c: int, n_per_class: int, seq_len: int, separation: float,
 # persistence
 # ---------------------------------------------------------------------------
 
-def save_dataset_csv(ds: Dataset, csv_path, sidecar_path=None) -> None:
-    """Write features as f0..f{T-1} plus a Label column; the JSON sidecar
-    carries the codec."""
+def save_dataset_csv(ds: Dataset, csv_path) -> None:
+    """Write features as f0..f{T-1} plus a Label column."""
     feats = ds.features()
     t = feats.shape[1]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -562,6 +563,3 @@ def save_dataset_csv(ds: Dataset, csv_path, sidecar_path=None) -> None:
         for i in range(len(ds)):
             writer.writerow([repr(float(v)) for v in feats[i]]
                             + [ds.codec.from_index(int(ds.y[i]))])
-    if sidecar_path is not None:
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump({"codec": ds.codec.to_dict()}, fh, indent=2)

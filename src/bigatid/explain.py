@@ -10,8 +10,6 @@ claims, at the cost of ignoring feature dependence.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,32 +51,6 @@ class Attribution:
         importance (mean across classes) when class_index is None."""
         score = self.values.mean(axis=1) if class_index is None else self.values[:, class_index]
         return np.argsort(-score, kind="stable")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "class", "mean_abs_value"])
-            for i, fname in enumerate(self.feature_names):
-                for j, cname in enumerate(self.class_names):
-                    writer.writerow([fname, cname, repr(float(self.values[i, j]))])
-
-    def top_k_json(self, path, k: int = 10) -> None:
-        order = self.ranking()[:k]
-        payload = {
-            "n_instances": self.n_instances,
-            "n_permutations": self.n_permutations,
-            "top_features": [
-                {
-                    "feature": self.feature_names[i],
-                    "overall": float(self.values[i].mean()),
-                    "per_class": {c: float(self.values[i, j])
-                                  for j, c in enumerate(self.class_names)},
-                }
-                for i in order
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
 
 
 def _as_2d(vals: np.ndarray) -> np.ndarray:

@@ -5,7 +5,6 @@ per-instance inference timing."""
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -179,14 +178,6 @@ def roc_auc_ovr(y_true, probs: np.ndarray) -> list[RocCurve]:
         fpr, tpr, auc = _binary_roc(pos, probs[:, k])
         curves.append(RocCurve(k, fpr, tpr, auc))
     return curves
-
-
-def roc_points_to_csv(curve: RocCurve, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for f, t in zip(curve.fpr, curve.tpr):
-            writer.writerow([repr(float(f)), repr(float(t))])
 
 
 # ---------------------------------------------------------------------------

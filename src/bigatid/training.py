@@ -3,7 +3,6 @@ seeded mini-batch training loop with per-epoch train/validation history."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,14 +59,6 @@ class EpochStats:
 class History:
     rows: list[EpochStats] = field(default_factory=list)
     total_steps: int = 0
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
-            for r in self.rows:
-                writer.writerow([r.epoch, repr(r.train_loss), repr(r.train_acc),
-                                 repr(r.val_loss), repr(r.val_acc)])
 
     def as_dicts(self) -> list[dict]:
         return [vars(r).copy() for r in self.rows]

@@ -410,6 +410,13 @@ class TestLoao:
         assert rc == 1
         assert "worm" in capsys.readouterr().err
 
+    def test_sweep_with_held_out_rejected(self, tmp_path, capsys):
+        rc = main(["loao", "--synth", *SMALL, "--seed", "5", "--out-dir", str(tmp_path),
+                   "--sweep", "--held-out", "attack_01"])
+        assert rc == 1
+        assert "pass --held-out CLASS or --sweep, not both" in capsys.readouterr().err
+        assert not (tmp_path / "loao_report.json").exists()
+
 
 class TestExplainBenchInspect:
     def test_explain_outputs(self, tmp_path):
@@ -423,6 +430,14 @@ class TestExplainBenchInspect:
         assert len(lines) == 1 + 8 * 3
         top = json.loads((tmp_path / "ex" / "attribution_topk.json").read_text())
         assert len(top["top_features"]) == 8
+        assert (top["n_instances"], top["n_permutations"]) == (2, 16)
+        cells = {(f, c): float(v) for f, c, v in (line.split(",") for line in lines[1:])}
+        overall = [entry["overall"] for entry in top["top_features"]]
+        assert overall == sorted(overall, reverse=True)
+        for entry in top["top_features"]:
+            assert entry["per_class"] == {c: cells[entry["feature"], c]
+                                          for c in ("attack_01", "attack_02", "normal")}
+            assert entry["overall"] == np.mean(list(entry["per_class"].values()))
 
     @pytest.mark.parametrize("flag, setting", [("--instances", "n_instances"),
                                                ("--permutations", "n_permutations"),
@@ -486,6 +501,53 @@ class TestExplainBenchInspect:
 
     def test_inspect_requires_one_target(self, capsys):
         assert main(["inspect"]) == 1
+
+
+class TestPersist:
+    def test_label_with_a_slash_names_one_roc_file(self, tmp_path):
+        rows = [",".join([*(f"{(i % 2) * 5 + j * 0.1 + i * 0.01:.3f}" for j in range(8)),
+                          "DoS/DDoS" if i % 2 else "Benign"]) for i in range(60)]
+        flows = tmp_path / "flows.csv"
+        flows.write_text("\n".join([",".join([f"f{j}" for j in range(8)] + ["Label"]), *rows]))
+        rc = main(["train", "--csv", str(flows), "--seed", "5", "--out-dir", str(tmp_path / "run"),
+                   "--epochs", "1", "--batch-size", "16"])
+        assert rc == 0
+        report = json.loads((tmp_path / "run" / "run_report.json").read_text())
+        assert report["artifacts"]["roc_csvs"] == [str(tmp_path / "run" / "roc_Benign.csv"),
+                                                   str(tmp_path / "run" / "roc_DoS%2FDDoS.csv")]
+        lines = (tmp_path / "run" / "roc_DoS%2FDDoS.csv").read_text().splitlines()
+        assert lines[0] == "fpr,tpr"
+
+    @pytest.mark.parametrize("command, report", [
+        ("train", "history.csv"), ("evaluate", "eval_report.json"),
+        ("evaluate", "roc_normal.csv"), ("explain", "attribution.csv"),
+        ("explain", "attribution_topk.json"), ("bench", "bench.json"),
+        ("ablate", "ablation.csv"), ("ablate", "ablation.json"),
+        ("loao", "loao_report.json")])
+    def test_unwritable_report_is_a_persist_error(self, tmp_path, capsys, command, report):
+        argv = {"loao": ["--held-out", "attack_01"],
+                "explain": ["--instances", "2", "--permutations", "8"],
+                "bench": ["--bench-repeats", "1"]}.get(command, [])
+        if command in ("evaluate", "explain", "bench"):
+            run_train(tmp_path)
+            argv += ["--checkpoint", str(tmp_path / "checkpoint.bgid")]
+        else:
+            argv += ["--epochs", "1", "--batch-size", "32"]
+        (tmp_path / "out" / report).mkdir(parents=True)
+        rc = main([command, "--synth", *SMALL, "--seed", "5",
+                   "--out-dir", str(tmp_path / "out"), *argv])
+        assert rc == 1
+        assert "error: [stage=persist]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", cli._RUN)
+    def test_out_dir_that_is_a_file_is_a_persist_error(self, tmp_path, capsys, command):
+        (tmp_path / "taken").write_text("")
+        checkpoint = ["--checkpoint", str(tmp_path / "m.bgid")] if command in (
+            "evaluate", "explain", "bench") else []
+        rc = main([command, "--synth", *SMALL, "--out-dir", str(tmp_path / "taken"),
+                   *checkpoint])
+        assert rc == 1
+        assert "error: [stage=persist]" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -626,12 +626,17 @@ class TestSynthGenerate:
         with pytest.raises(D.DataError):
             D.synth_generate(3, 10, 8, 1.0, RngStream(0), imbalance=[1.0])
 
+    @pytest.mark.parametrize("frac", [-1.0, 0, float("nan"), float("inf")])
+    def test_fraction_not_finite_or_not_above_zero_rejected(self, frac):
+        with pytest.raises(D.DataError, match=f"imbalance fraction {frac!r} "):
+            D.synth_generate(3, 10, 8, 1.0, RngStream(0), imbalance=[1.0, frac, 1.0])
+
 
 class TestPersistence:
     def test_csv_round_trip(self, tmp_path):
         ds = D.synth_generate(3, 10, 6, 3.0, RngStream(21))
         csv_path = tmp_path / "d.csv"
-        D.save_dataset_csv(ds, csv_path, sidecar_path=tmp_path / "d.json")
+        D.save_dataset_csv(ds, csv_path)
         table = D.load_csv(csv_path)
         features, labels, codec = D.encode(table)
         assert codec.classes == ds.codec.classes

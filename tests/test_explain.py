@@ -407,7 +407,7 @@ class TestAttributionSummary:
         att2 = attribution_summary(params, spec, sample, settings, RngStream(200))
         assert kendall_tau_topk(att1, att2, k=10) >= 0.8
 
-    def test_values_nonnegative_and_exports(self, tmp_path):
+    def test_values_nonnegative_and_finite(self):
         spec = tiny_spec_for(6, 3, rate=0.0)
         params = build(spec, RngStream(20))
         ds = D.synth_generate(3, 6, 6, 3.0, RngStream(21))
@@ -415,11 +415,6 @@ class TestAttributionSummary:
                                   ShapleySettings(n_instances=3, n_permutations=32),
                                   RngStream(22))
         assert (att.values >= 0).all() and np.isfinite(att.values).all()
-        att.to_csv(tmp_path / "att.csv")
-        att.top_k_json(tmp_path / "top.json", k=3)
-        lines = (tmp_path / "att.csv").read_text().strip().splitlines()
-        assert lines[0] == "feature,class,mean_abs_value"
-        assert len(lines) == 1 + 6 * 3
 
     def test_empty_sample_rejected(self):
         spec = tiny_spec_for(6, 3)

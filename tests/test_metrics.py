@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_bigat_spec
-from bigatid import metrics as M
+from bigatid import cli, metrics as M
 from bigatid.model import build
 from bigatid.numerics import RngStream, softmax_rows
 
@@ -236,13 +236,21 @@ class TestEvalReport:
                 "inference_sec_per_instance"} == set(d["table_row"])
         assert [r["class"] for r in d["per_class"]] == ["a", "b", "c"]
 
-    def test_roc_csv_export(self, tmp_path):
-        rng = RngStream(11)
-        y = rng.integers(0, 2, 30)
-        probs = softmax_rows(rng.normal(size=(30, 2)))
-        report = M.evaluate_probs(probs, y, ["neg", "pos"], loss=0.1)
-        path = tmp_path / "roc.csv"
-        M.roc_points_to_csv(report.roc[1], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "fpr,tpr"
-        assert len(lines) == len(report.roc[1].fpr) + 1
+    def test_roc_csv_export(self, tmp_path, monkeypatch):
+        synth = ["--synth", "--synth-classes", "3", "--synth-per-class", "20",
+                 "--synth-seq-len", "8", "--seed", "11"]
+        assert cli.main(["train", *synth, "--epochs", "1", "--out-dir", str(tmp_path)]) == 0
+        reports, evaluate_model = [], cli.evaluate_model
+
+        def recording(*args):
+            reports.append(evaluate_model(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "evaluate_model", recording)
+        assert cli.main(["evaluate", "--checkpoint", str(tmp_path / "checkpoint.bgid"),
+                         *synth, "--out-dir", str(tmp_path / "ev")]) == 0
+        (report,) = reports
+        for curve, name in zip(report.roc, report.class_names):
+            lines = (tmp_path / "ev" / f"roc_{name}.csv").read_text().strip().splitlines()
+            assert lines[0] == "fpr,tpr"
+            assert len(lines) == len(curve.fpr) + 1

@@ -1,8 +1,10 @@
 """Checks over the library's source text. The library keeps no helper it
 never calls: each function and class that src/bigatid defines is named
 again somewhere in src/bigatid or perfbench, the library and its benchmark.
-Test-only helpers live with the tests. And arrays become float64 only at
-the doors where they enter the library, so nothing inside re-casts them."""
+Test-only helpers live with the tests. Arrays become float64 only at the
+doors where they enter the library, so nothing inside re-casts them. And
+the CLI writes every report file: the library opens a file for writing only
+for the two formats it reads back."""
 
 import ast
 import collections
@@ -72,3 +74,30 @@ def test_float64_is_named_only_at_the_doors():
     strays, idle = sorted(named - DTYPE_DOORS), sorted(DTYPE_DOORS - named)
     assert strays == [], f"float64 or as_f64 named outside the doors, in {strays}"
     assert idle == [], f"doors that name no float64, to drop from DTYPE_DOORS: {idle}"
+
+
+# The functions that open a file for writing: the CLI's two report writers,
+# and the dataset CSV and checkpoint, which the library reads back.
+FILE_WRITERS = {"cli._write_json", "cli._write_csv", "data.save_dataset_csv", "model.save"}
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether `call` is a builtin open(...) whose mode writes, appends or
+    creates; a mode that is not a string literal counts as one that does."""
+    if not (isinstance(call.func, ast.Name) and call.func.id == "open"):
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[1] if len(call.args) > 1 else ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax"))
+
+
+def test_only_the_writers_open_files_for_writing():
+    opened = set()
+    for path in sorted((ROOT / "src" / "bigatid").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner, _ = _owners(tree, path.stem)
+        opened.update(owner.get(node.lineno, f"{path.stem}.<module>") for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and _writes(node))
+    strays, idle = sorted(opened - FILE_WRITERS), sorted(FILE_WRITERS - opened)
+    assert strays == [], f"a file opened for writing outside FILE_WRITERS, in {strays}"
+    assert idle == [], f"writers that open no file for writing, to drop: {idle}"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import (check_model_grads, finite_diff_grad, grad_mismatch, tiny_b
 from bigatid import training
 from bigatid import data as D
 from bigatid import layers as L
+from bigatid.cli import main
 from bigatid.model import bigat_spec, build
 from bigatid.numerics import RngStream, softmax_rows
 from bigatid.training import (
@@ -286,16 +289,16 @@ class TestTrainLoop:
 
 class TestHistoryExport:
     def test_csv_round_trip(self, tmp_path):
-        tr, te = tiny_sets(seed=9)
-        cfg = TrainConfig(epochs=2, batch_size=8, seed=0)
-        _, history = train(tiny_bigat_spec(), tr, te, cfg)
-        path = tmp_path / "history.csv"
-        history.to_csv(path)
-        lines = path.read_text().strip().splitlines()
+        rc = main(["train", "--synth", "--synth-classes", "3", "--synth-per-class", "20",
+                   "--synth-seq-len", "8", "--seed", "9", "--out-dir", str(tmp_path),
+                   "--epochs", "2", "--batch-size", "8"])
+        assert rc == 0
+        history = json.loads((tmp_path / "run_report.json").read_text())["history"]
+        lines = (tmp_path / "history.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
         assert len(lines) == 3
         first = lines[1].split(",")
-        assert float(first[1]) == history.rows[0].train_loss  # repr round trip
+        assert float(first[1]) == history[0]["train_loss"]  # repr round trip
 
 
 class TestFullModelGradient:
