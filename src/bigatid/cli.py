@@ -288,8 +288,7 @@ def _scaled(ds: D.Dataset, scaler: D.ScalerParams) -> D.Dataset:
 
 
 def balance_train(cfg: RunConfig, train_ds: D.Dataset, rng: RngStream,
-                  strategy: str | None = None) -> D.Dataset:
-    strategy = cfg.balancing if strategy is None else strategy
+                  strategy: str) -> D.Dataset:
     with _Stage("balance"):
         if strategy == "ros":
             return D.ros_balance(train_ds, rng.spawn(2))
@@ -300,14 +299,13 @@ def balance_train(cfg: RunConfig, train_ds: D.Dataset, rng: RngStream,
 
 def resolve_variant(vid: int, seq_len: int, n_classes: int,
                     dropout: float | None = None) -> MOD.Variant:
-    """Ablation-table variant `vid`; `dropout` overrides variant 4's rate."""
+    """Ablation-table variant `vid`; `dropout` overrides variant 4's rate
+    (merge_config rejects a dropout for any other variant)."""
     variants = {v.id: v for v in MOD.table5_variants(seq_len, n_classes)}
     if vid not in variants:
         raise ConfigError(f"variant must be 1..12, got {vid}")
     if dropout is None:
         return variants[vid]
-    if vid != 4:
-        raise ConfigError("--dropout override is only supported for variant 4")
     return MOD.Variant(4, f"(BiGRU64+MHA8)-LSTM32 d={dropout}",
                        MOD.bigat_spec(seq_len, n_classes, dropout_rate=dropout))
 
@@ -323,6 +321,22 @@ def evaluate_model(params, spec, test_ds: D.Dataset, cfg: RunConfig) -> M.EvalRe
     loss_fn = T.loss_fn_for(cfg.train_config(), spec.n_classes)
     loss, _ = loss_fn(probs, D.one_hot(test_ds.y, spec.n_classes))
     return M.evaluate_probs(probs, test_ds.y, list(test_ds.codec.classes), loss, bench=stats)
+
+
+def fit(cfg: RunConfig, spec, train_ds: D.Dataset, test_ds: D.Dataset, strategy: str,
+        rng: RngStream, seed: int):
+    """Balance `train_ds` by `strategy` from `rng`, train `spec` on it with
+    `seed`, then evaluate on `test_ds`, each step in its stage. Every command
+    that fits a model fits it here. Returns (params, history, report,
+    train_sec, eval_sec)."""
+    train_bal = balance_train(cfg, train_ds, rng, strategy)
+    t0 = time.perf_counter()
+    with _Stage("train"):
+        params, history = T.train(spec, train_bal, test_ds, cfg.train_config(seed=seed))
+    t1 = time.perf_counter()
+    with _Stage("evaluate"):
+        report = evaluate_model(params, spec, test_ds, cfg)
+    return params, history, report, t1 - t0, time.perf_counter() - t1
 
 
 def _write_json(path, payload) -> None:
@@ -362,18 +376,9 @@ def cmd_train(args) -> int:
 
     ds = load_source_dataset(cfg, rng)
     train_ds, test_ds, scaler = split_and_scale(cfg, ds, rng)
-    train_bal = balance_train(cfg, train_ds, rng)
     variant = resolve_variant(cfg.variant, ds.seq_len, ds.n_classes, cfg.dropout)
-
-    t0 = time.perf_counter()
-    with _Stage("train"):
-        params, history = T.train(variant.spec, train_bal, test_ds, cfg.train_config())
-    train_sec = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    with _Stage("evaluate"):
-        report = evaluate_model(params, variant.spec, test_ds, cfg)
-    eval_sec = time.perf_counter() - t0
+    params, history, report, train_sec, eval_sec = fit(
+        cfg, variant.spec, train_ds, test_ds, cfg.balancing, rng, cfg.seed)
 
     with _Stage("persist"):
         ckpt_path = out_dir / "checkpoint.bgid"
@@ -480,11 +485,9 @@ def cmd_ablate(args) -> int:
                    "setting": setting, "status": "ok",
                    "accuracy": None, "loss": None, "fpr": None}
             try:
-                tr = balance_train(cfg, train_ds, rng, strategy=strategy)
                 seed_v = derive_seed(cfg.seed, variant.id, si)
-                params, _hist = T.train(variant.spec, tr, test_ds,
-                                        cfg.train_config(seed=seed_v))
-                report = evaluate_model(params, variant.spec, test_ds, cfg)
+                _params, _hist, report, _, _ = fit(cfg, variant.spec, train_ds, test_ds,
+                                                   strategy, rng, seed_v)
                 row.update(accuracy=report.accuracy, loss=report.loss,
                            fpr=report.fpr_macro)
             except Exception as exc:  # isolate the failing row, keep sweeping
@@ -512,6 +515,13 @@ def _remap(ds: D.Dataset, new_codec: D.LabelCodec) -> D.Dataset:
 
 def cmd_loao(args) -> int:
     cfg, out_dir = _start(args)
+    if args.sweep and args.held_out:
+        raise ConfigError("pass --held-out CLASS or --sweep, not both")
+    if not (args.sweep or args.held_out):
+        raise ConfigError("pass --held-out CLASS or --sweep")
+    if args.held_out == cfg.normal_class:
+        raise ConfigError("the zero-day protocol holds out attack classes, "
+                          "not the normal class")
     rng = RngStream(cfg.seed)
 
     ds = load_source_dataset(cfg, rng)
@@ -519,22 +529,15 @@ def cmd_loao(args) -> int:
     classes = list(ds.codec.classes)
     if cfg.normal_class not in classes:
         raise ConfigError(f"normal class {cfg.normal_class!r} not in {classes}")
-    if args.sweep:
-        if args.held_out:
-            raise ConfigError("pass --held-out CLASS or --sweep, not both")
-        held_out_list = [c for c in classes if c != cfg.normal_class]
-    else:
-        if not args.held_out:
-            raise ConfigError("pass --held-out CLASS or --sweep")
-        if args.held_out == cfg.normal_class:
-            raise ConfigError("the zero-day protocol holds out attack classes, "
-                              "not the normal class")
-        if args.held_out not in classes:
-            raise ConfigError(f"held-out class {args.held_out!r} not in {classes}")
-        held_out_list = [args.held_out]
+    if args.held_out and args.held_out not in classes:
+        raise ConfigError(f"held-out class {args.held_out!r} not in {classes}")
+    # a fold's random streams follow its class's place among the attacks, so
+    # a single-fold run reproduces that class's row of the sweep
+    attacks = [c for c in classes if c != cfg.normal_class]
 
     results = []
-    for fold, held_out in enumerate(held_out_list):
+    for held_out in attacks if args.sweep else [args.held_out]:
+        fold = attacks.index(held_out)
         held_idx = ds.codec.to_index(held_out)
         retained_codec = D.LabelCodec.fit([c for c in classes if c != held_out])
         tr_subset = train_ds.subset(train_ds.y != held_idx)
@@ -546,34 +549,28 @@ def cmd_loao(args) -> int:
         te_retained = _remap(test_ds.subset(test_ds.y != held_idx), retained_codec)
         te_holdout = test_ds.subset(test_ds.y == held_idx)
 
-        tr_bal = balance_train(cfg, tr, rng.spawn(10 + fold))
         variant = resolve_variant(cfg.variant, ds.seq_len, retained_codec.n_classes,
                                   cfg.dropout)
         seed_f = derive_seed(cfg.seed, 100 + fold)
-        with _Stage("train"):
-            params, _hist = T.train(variant.spec, tr_bal, te_retained,
-                                    cfg.train_config(seed=seed_f))
+        params, _hist, report, _, _ = fit(cfg, variant.spec, tr, te_retained, cfg.balancing,
+                                          rng.spawn(10 + fold), seed_f)
         with _Stage("evaluate"):
-            retained_probs = T.batched_probs(params, variant.spec, te_retained.X)
-            retained_hit = retained_probs.argmax(axis=1) == te_retained.y
-            retained_acc = float(retained_hit.mean())
             holdout_probs = T.batched_probs(params, variant.spec, te_holdout.X)
-            normal_idx = retained_codec.to_index(cfg.normal_class)
-            pred = holdout_probs.argmax(axis=1)
-            detection_rate = float((pred != normal_idx).mean()) if len(te_holdout) else 0.0
-            combined_correct = int(retained_hit.sum()) + int((pred != normal_idx).sum())
+            detected = holdout_probs.argmax(axis=1) != retained_codec.to_index(cfg.normal_class)
+            detection_rate = float(detected.mean()) if len(te_holdout) else 0.0
+            combined_correct = int(report.cm.tp().sum()) + int(detected.sum())
             combined_acc = combined_correct / (len(te_retained) + len(te_holdout))
         results.append({
             "held_out": held_out,
             "held_out_train_count": held_in_train,
             "retained_classes": list(retained_codec.classes),
-            "retained_accuracy": retained_acc,
+            "retained_accuracy": report.accuracy,
             "zero_day_detection_rate": detection_rate,
             "combined_accuracy_detection_counted": combined_acc,
             "n_holdout_test": len(te_holdout),
             "seed": seed_f,
         })
-        print(f"held-out {held_out}: retained acc {retained_acc:.4f}, "
+        print(f"held-out {held_out}: retained acc {report.accuracy:.4f}, "
               f"zero-day detection {detection_rate:.4f}")
 
     with _Stage("persist"):

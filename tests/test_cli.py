@@ -417,6 +417,28 @@ class TestLoao:
         assert "pass --held-out CLASS or --sweep, not both" in capsys.readouterr().err
         assert not (tmp_path / "loao_report.json").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--sweep", "--held-out", "attack_01"], "pass --held-out CLASS or --sweep, not both"),
+        ([], "pass --held-out CLASS or --sweep"),
+        (["--held-out", "normal"],
+         "the zero-day protocol holds out attack classes, not the normal class"),
+    ], ids=["sweep-and-held-out", "neither", "normal"])
+    def test_flags_checked_before_the_data_is_read(self, tmp_path, capsys, argv, message):
+        rc = main(["loao", "--csv", str(tmp_path / "missing.csv"),
+                   "--out-dir", str(tmp_path / "out"), *argv])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_held_out_reproduces_its_sweep_row(self, tmp_path):
+        common = ["loao", "--synth", *SMALL, "--seed", "5", "--epochs", "1",
+                  "--batch-size", "32", "--balancing", "ros"]
+        assert main([*common, "--out-dir", str(tmp_path / "sweep"), "--sweep"]) == 0
+        assert main([*common, "--out-dir", str(tmp_path / "one"),
+                     "--held-out", "attack_02"]) == 0
+        sweep = json.loads((tmp_path / "sweep" / "loao_report.json").read_text())["results"]
+        one = json.loads((tmp_path / "one" / "loao_report.json").read_text())["results"]
+        assert one == [r for r in sweep if r["held_out"] == "attack_02"]
+
 
 class TestExplainBenchInspect:
     def test_explain_outputs(self, tmp_path):
@@ -568,6 +590,28 @@ class TestAblate:
         assert csv_lines[0] == \
             "variant,label,canonical,param_total,setting,status,accuracy,loss,fpr"
         assert len(csv_lines) == 25
+
+    def test_a_failing_fit_fails_only_its_own_rows(self, tmp_path, monkeypatch):
+        failing = next(v.spec for v in MOD.table5_variants(8, 3) if v.id == 7)
+        real_train = T.train
+
+        def train(spec, *args, **kwargs):
+            if spec == failing:
+                raise RuntimeError("injected failure")
+            return real_train(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli.T, "train", train)
+        rc = main(["ablate", "--synth", "--synth-classes", "3",
+                   "--synth-per-class", "20", "--synth-seq-len", "8",
+                   "--synth-separation", "6.0", "--seed", "5",
+                   "--out-dir", str(tmp_path), "--epochs", "1", "--batch-size", "32"])
+        assert rc == 1
+        rows = json.loads((tmp_path / "ablation.json").read_text())["rows"]
+        failed = [r for r in rows if r["variant"] == 7]
+        assert [r["status"] for r in failed] == ["failed", "failed"]
+        assert all(r["error"].startswith("[stage=train] injected failure") for r in failed)
+        assert [r["status"] for r in rows if r["variant"] != 7] == ["ok"] * 22
+        assert len((tmp_path / "ablation.csv").read_text().strip().splitlines()) == 25
 
 
 class TestRunConfig:

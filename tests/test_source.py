@@ -4,7 +4,8 @@ again somewhere in src/bigatid or perfbench, the library and its benchmark.
 Test-only helpers live with the tests. Arrays become float64 only at the
 doors where they enter the library, so nothing inside re-casts them. And
 the CLI writes every report file: the library opens a file for writing only
-for the two formats it reads back."""
+for the two formats it reads back. One CLI function fits every model: it
+alone balances a training split and trains."""
 
 import ast
 import collections
@@ -101,3 +102,17 @@ def test_only_the_writers_open_files_for_writing():
     strays, idle = sorted(opened - FILE_WRITERS), sorted(FILE_WRITERS - opened)
     assert strays == [], f"a file opened for writing outside FILE_WRITERS, in {strays}"
     assert idle == [], f"writers that open no file for writing, to drop: {idle}"
+
+
+# The fit routine of train, ablate and loao: the one place a model is trained.
+FIT_STEPS = ("T.train", "balance_train")
+
+
+def test_only_fit_balances_and_trains():
+    tree = ast.parse((ROOT / "src" / "bigatid" / "cli.py").read_text())
+    owner, _ = _owners(tree, "cli")
+    callers = {owner.get(node.lineno, "cli.<module>") for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) in FIT_STEPS}
+    strays = sorted(callers - {"cli.fit"})
+    assert strays == [], f"{' or '.join(FIT_STEPS)} called outside cli.fit, in {strays}"
+    assert "cli.fit" in callers, "cli.fit no longer balances and trains"
