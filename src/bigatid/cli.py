@@ -47,15 +47,19 @@ class StageError(RuntimeError):
 
 
 class _Stage:
-    """Context manager attributing any failure to a named pipeline stage."""
+    """Context manager attributing any failure to a named pipeline stage; on
+    exit, `seconds` holds the stage's wall time."""
 
     def __init__(self, name: str):
         self.name = name
+        self.seconds = None
 
     def __enter__(self):
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        self.seconds = time.perf_counter() - self._start
         # an interrupt or exit is not a stage failure and passes through as is
         if isinstance(exc, Exception) and not isinstance(exc, StageError):
             raise StageError(self.name, exc) from exc
@@ -122,17 +126,24 @@ class _Option:
         raise ConfigError(f"{origin}: {self.key} must be {problem}, got {value!r}")
 
     def _outside_bound(self, value) -> str | None:
-        """None when `value` lies in `bound`, else what the key must be: ">= a"
-        or "> a" for an interval up to inf, "in [a, b)" for a range."""
+        """None when `value`, or each entry of a list, lies in `bound`, else
+        what the key must be: "in [a, b)" for a range; for an interval up to
+        inf, "finite" if an entry is inf or nan, else ">= a" or "> a"."""
         if self.bound is None:
             return None
         low, high = self.bound.split(", ")
         a = float(low[1:])
-        if ((value >= a) if low[0] == "[" else (value > a)) and value < float(high[:-1]):
+        outside = [v for v in (value if self.type is list else [value])
+                   if not (((v >= a) if low[0] == "[" else (v > a)) and v < float(high[:-1]))]
+        if not outside:
             return None
         if high != "inf)":
-            return f"in {self.bound}"
-        return (">= " if low[0] == "[" else "> ") + low[1:]
+            problem = f"in {self.bound}"
+        elif any(v != v or v == np.inf for v in outside):
+            problem = "finite"
+        else:
+            problem = (">= " if low[0] == "[" else "> ") + low[1:]
+        return problem + (" in every entry" if self.type is list else "")
 
 
 _RUN = ("train", "evaluate", "ablate", "loao", "explain", "bench", "synth")
@@ -148,7 +159,7 @@ _OPTIONS = (
     _Option("synth_classes", 6, int, _RUN, bound="[2, inf)"),
     _Option("synth_per_class", 400, int, _RUN, bound="[1, inf)"),
     _Option("synth_seq_len", 20, int, _RUN, bound="[4, inf)"),
-    _Option("synth_separation", 6.0, float, _RUN),
+    _Option("synth_separation", 6.0, float, _RUN, bound="[0, inf)"),
     _Option("synth_imbalance", None, list, _RUN,
             help="comma-separated per-class count fractions"),
     _Option("train_frac", 0.8, float, _FIT, "fit", bound="(0, 1)"),
@@ -165,7 +176,7 @@ _OPTIONS = (
     _Option("loss", T.TrainConfig.loss, str, _FIT, "fit", choices=T.LOSS_KINDS),
     _Option("focal_gamma", T.TrainConfig.focal_gamma, float, _FIT, "fit",
             bound="[0, inf)"),
-    _Option("focal_alpha", T.TrainConfig.focal_alpha, list),  # per class: no flag
+    _Option("focal_alpha", T.TrainConfig.focal_alpha, list, bound="[0, inf)"),  # no flag
     _Option("grad_clip", T.TrainConfig.grad_clip, float, _FIT, "fit", bound="(0, inf)"),
     _Option("seed", T.TrainConfig.seed, int, _RUN, bound="[0, inf)"),
     _Option("out_dir", "runs", str, _RUN),
@@ -313,11 +324,8 @@ def resolve_variant(vid: int, seq_len: int, n_classes: int,
 def evaluate_model(params, spec, test_ds: D.Dataset, cfg: RunConfig) -> M.EvalReport:
     """The report of one eval-mode pass over `test_ds`, timed as it runs;
     `bigatid bench` is the repeated measurement."""
-    t0 = time.perf_counter()
-    probs = T.batched_probs(params, spec, test_ds.X, T.EVAL_BATCH)
-    sec = (time.perf_counter() - t0) / max(len(test_ds), 1)
-    stats = M.BenchStats(sec, sec, sec, batch_size=T.EVAL_BATCH, repeats=1,
-                         n_instances=len(test_ds))
+    probs, stats = M.inference_bench(params, spec, test_ds.X, warmup=0, repeats=1,
+                                     batch_size=T.EVAL_BATCH)
     loss_fn = T.loss_fn_for(cfg.train_config(), spec.n_classes)
     loss, _ = loss_fn(probs, D.one_hot(test_ds.y, spec.n_classes))
     return M.evaluate_probs(probs, test_ds.y, list(test_ds.codec.classes), loss, bench=stats)
@@ -328,15 +336,13 @@ def fit(cfg: RunConfig, spec, train_ds: D.Dataset, test_ds: D.Dataset, strategy:
     """Balance `train_ds` by `strategy` from `rng`, train `spec` on it with
     `seed`, then evaluate on `test_ds`, each step in its stage. Every command
     that fits a model fits it here. Returns (params, history, report,
-    train_sec, eval_sec)."""
+    train_sec, eval_sec): the seconds of its train and evaluate stages."""
     train_bal = balance_train(cfg, train_ds, rng, strategy)
-    t0 = time.perf_counter()
-    with _Stage("train"):
+    with _Stage("train") as training:
         params, history = T.train(spec, train_bal, test_ds, cfg.train_config(seed=seed))
-    t1 = time.perf_counter()
-    with _Stage("evaluate"):
+    with _Stage("evaluate") as evaluation:
         report = evaluate_model(params, spec, test_ds, cfg)
-    return params, history, report, t1 - t0, time.perf_counter() - t1
+    return params, history, report, training.seconds, evaluation.seconds
 
 
 def _write_json(path, payload) -> None:
@@ -615,8 +621,8 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"bench: --batch must be an integer >= 1, got {args.batch}")
     cfg, out_dir, params, spec, ds = _checkpoint_run(args)
     with _Stage("bench"):
-        stats = M.inference_bench(params, spec, ds.X, warmup=cfg.bench_warmup,
-                                  repeats=cfg.bench_repeats, batch_size=args.batch)
+        _probs, stats = M.inference_bench(params, spec, ds.X, warmup=cfg.bench_warmup,
+                                          repeats=cfg.bench_repeats, batch_size=args.batch)
     with _Stage("persist"):
         _write_json(out_dir / "bench.json", {"config": cfg.echo(), "bench": stats.to_dict()})
     print(f"mean {stats.mean_sec_per_instance:.3e} s/inst  "
@@ -636,9 +642,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    if bool(args.checkpoint) == bool(args.variant):
+    if (args.checkpoint is None) == (args.variant is None):
         raise ConfigError("pass exactly one of --checkpoint or --variant")
-    if args.checkpoint:
+    if args.checkpoint is not None:
         with _Stage("checkpoint"):
             _params, spec, metadata = MOD.load(args.checkpoint)
         label = metadata.get("variant_label", "?")

@@ -521,6 +521,8 @@ def synth_generate(c: int, n_per_class: int, seq_len: int, separation: float,
     """
     if c < 2 or seq_len < 4:
         raise DataError("synth_generate: need c >= 2 and seq_len >= 4")
+    if not 0 <= separation < np.inf:
+        raise DataError(f"synth_generate: separation {separation!r} must be finite and >= 0")
     if imbalance is not None and len(imbalance) != c:
         raise DataError(f"synth_generate: imbalance must list {c} fractions")
     for frac in imbalance or ():

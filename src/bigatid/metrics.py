@@ -136,7 +136,6 @@ def fpr_micro(cm: ConfusionMatrix) -> float:
 
 @dataclass
 class RocCurve:
-    class_index: int
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float | None  # None when the class is absent from y_true
@@ -173,10 +172,10 @@ def roc_auc_ovr(y_true, probs: np.ndarray) -> list[RocCurve]:
         pos = y_true == k
         n_pos = int(pos.sum())
         if n_pos == 0 or n_pos == y_true.size:
-            curves.append(RocCurve(k, np.array([]), np.array([]), None))
+            curves.append(RocCurve(np.array([]), np.array([]), None))
             continue
         fpr, tpr, auc = _binary_roc(pos, probs[:, k])
-        curves.append(RocCurve(k, fpr, tpr, auc))
+        curves.append(RocCurve(fpr, tpr, auc))
     return curves
 
 
@@ -197,10 +196,10 @@ class BenchStats:
         return vars(self).copy()
 
 
-def inference_bench(params, spec: VariantSpec, x: np.ndarray, warmup: int = 1,
-                    repeats: int = 5, batch_size: int = 256) -> BenchStats:
+def inference_bench(params, spec: VariantSpec, x: np.ndarray, warmup: int = 1, repeats: int = 5,
+                    batch_size: int = 256) -> tuple[np.ndarray, BenchStats]:
     """Eval-mode prediction timing on a monotonic clock after warmup runs.
-    Timing only; predictions are unaffected by the batching."""
+    Returns the last timed pass's probabilities (batching changes none) and the timing."""
     if repeats < 1:
         raise ValueError("inference_bench: repeats must be >= 1")
     n = x.shape[0]
@@ -212,10 +211,10 @@ def inference_bench(params, spec: VariantSpec, x: np.ndarray, warmup: int = 1,
     per_instance = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        batched_probs(params, spec, x, batch_size)
+        probs = batched_probs(params, spec, x, batch_size)
         per_instance.append((time.perf_counter() - t0) / n)
     arr = np.array(per_instance)
-    return BenchStats(
+    return probs, BenchStats(
         mean_sec_per_instance=float(arr.mean()),
         median_sec_per_instance=float(np.median(arr)),
         p95_sec_per_instance=float(np.percentile(arr, 95)),

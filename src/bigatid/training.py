@@ -44,6 +44,9 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive")
+        if self.focal_alpha is not None and not all(0 <= a < np.inf for a in self.focal_alpha):
+            raise ValueError("focal_alpha entries must be finite and >= 0, "
+                             f"got {self.focal_alpha!r}")
 
 
 @dataclass

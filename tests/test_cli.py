@@ -167,11 +167,18 @@ class TestTrain:
         ("train", "--train-frac", "0", "--train-frac: train_frac must be in (0, 1), got 0.0"),
         ("train", "--variant", "13", "--variant: variant must be in [1, 13), got 13"),
         ("loao", "--variant", "0", "--variant: variant must be in [1, 13), got 0"),
+        ("train", "--synth-separation", "nan",
+         "--synth-separation: synth_separation must be finite, got nan"),
+        ("synth", "--synth-separation", "inf",
+         "--synth-separation: synth_separation must be finite, got inf"),
+        ("train", "--synth-separation", "-1",
+         "--synth-separation: synth_separation must be >= 0, got -1.0"),
     ], ids=["train-seed", "synth-seed", "train-imbalance", "train-epochs", "train-batch-size",
             "train-smote-k", "synth-classes", "synth-per-class", "synth-seq-len",
             "bench-warmup", "bench-repeats", "train-grad-clip-negative", "train-grad-clip-zero",
             "train-learning-rate", "train-focal-gamma", "train-dropout", "train-frac-above",
-            "train-frac-zero", "train-variant", "loao-variant"])
+            "train-frac-zero", "train-variant", "loao-variant", "train-separation-nan",
+            "synth-separation-inf", "train-separation-negative"])
     def test_flag_value_rejected_before_any_stage(self, tmp_path, capsys, command, flag,
                                                   value, message):
         # bench's checkpoint is never read: the merge rejects the value first
@@ -204,6 +211,22 @@ class TestTrain:
         assert main([command, "--synth", *SMALL, *argv, "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert message in err and "stage=" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha, message", [
+        ([-1, 1, 1], "focal_alpha must be >= 0 in every entry, got [-1, 1, 1]"),
+        ([1, float("nan"), 1], "focal_alpha must be finite in every entry, got [1, nan, 1]"),
+    ], ids=["negative", "nan"])
+    def test_focal_alpha_entry_rejected_before_any_stage(self, tmp_path, capsys, alpha,
+                                                         message):
+        # a negative weight would train by gradient ascent on that class
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": True, "loss": "focal", "focal_alpha": alpha}))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), *SMALL, "--epochs", "1",
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: {message}" in err and "stage=" not in err
         assert not out.exists()
 
     def test_negative_seed_in_config_rejected(self, tmp_path, capsys):
@@ -523,6 +546,16 @@ class TestExplainBenchInspect:
 
     def test_inspect_requires_one_target(self, capsys):
         assert main(["inspect"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--variant", "0"], "variant must be 1..12, got 0"),
+        (["--checkpoint", "missing.bgid", "--variant", "0"],
+         "pass exactly one of --checkpoint or --variant"),
+    ], ids=["variant-zero", "checkpoint-and-variant-zero"])
+    def test_inspect_variant_zero_is_a_variant(self, capsys, argv, message):
+        assert main(["inspect", *argv]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "stage=" not in err
 
 
 class TestPersist:

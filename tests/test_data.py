@@ -626,6 +626,11 @@ class TestSynthGenerate:
         with pytest.raises(D.DataError):
             D.synth_generate(3, 10, 8, 1.0, RngStream(0), imbalance=[1.0])
 
+    @pytest.mark.parametrize("separation", [-1.0, float("nan"), float("inf")])
+    def test_separation_not_finite_or_negative_rejected(self, separation):
+        with pytest.raises(D.DataError, match=f"separation {separation!r} "):
+            D.synth_generate(3, 10, 8, separation, RngStream(0))
+
     @pytest.mark.parametrize("frac", [-1.0, 0, float("nan"), float("inf")])
     def test_fraction_not_finite_or_not_above_zero_rejected(self, frac):
         with pytest.raises(D.DataError, match=f"imbalance fraction {frac!r} "):

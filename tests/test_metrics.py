@@ -215,7 +215,9 @@ class TestBench:
         assert np.abs(a - b).max() < 1e-12
 
     def test_stats_positive_and_complete(self):
-        stats = M.inference_bench(self.params, self.spec, self.x, warmup=1, repeats=3)
+        from bigatid.training import batched_probs
+        probs, stats = M.inference_bench(self.params, self.spec, self.x, warmup=1, repeats=3)
+        assert np.array_equal(probs, batched_probs(self.params, self.spec, self.x, 256))
         assert stats.mean_sec_per_instance > 0
         assert stats.median_sec_per_instance > 0
         assert stats.p95_sec_per_instance > 0

@@ -5,7 +5,9 @@ Test-only helpers live with the tests. Arrays become float64 only at the
 doors where they enter the library, so nothing inside re-casts them. And
 the CLI writes every report file: the library opens a file for writing only
 for the two formats it reads back. One CLI function fits every model: it
-alone balances a training split and trains."""
+alone balances a training split and trains. And one clock times the
+library: a CLI stage times itself, and every timed eval pass runs in the
+inference bench."""
 
 import ast
 import collections
@@ -116,3 +118,24 @@ def test_only_fit_balances_and_trains():
     strays = sorted(callers - {"cli.fit"})
     assert strays == [], f"{' or '.join(FIT_STEPS)} called outside cli.fit, in {strays}"
     assert "cli.fit" in callers, "cli.fit no longer balances and trains"
+
+
+# The two places that read the clock: a CLI stage, which times itself, and
+# the inference bench, through which every timed eval pass runs.
+CLOCKS = {"cli._Stage", "metrics.inference_bench"}
+
+
+def test_only_the_stage_and_the_bench_read_the_clock():
+    readers = set()
+    for path in sorted((ROOT / "src" / "bigatid").rglob("*.py")):
+        owner, imports = _owners(ast.parse(path.read_text()), path.stem)
+        with tokenize.open(path) as fh:
+            # a method reads the clock for its class
+            readers.update(".".join(owner.get(tok.start[0], f"{path.stem}.<module>")
+                                    .split(".")[:2])
+                           for tok in tokenize.generate_tokens(fh.readline)
+                           if tok.type == tokenize.NAME and tok.string == "perf_counter"
+                           and tok.start[0] not in imports)
+    strays, idle = sorted(readers - CLOCKS), sorted(CLOCKS - readers)
+    assert strays == [], f"perf_counter named outside {sorted(CLOCKS)}, in {strays}"
+    assert idle == [], f"clocks that read no perf_counter, to drop from CLOCKS: {idle}"

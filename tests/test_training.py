@@ -169,6 +169,9 @@ class TestTrainConfig:
         {"epochs": 0},
         {"grad_clip": 0.0},
         {"grad_clip": -1.0},
+        {"focal_alpha": [-1.0, 1.0, 1.0]},
+        {"focal_alpha": [1.0, float("nan")]},
+        {"focal_alpha": [float("inf"), 1.0]},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
