@@ -425,7 +425,7 @@ def _checkpoint_run(args):
     """The preamble of the checkpoint commands: the merged config, its output
     directory, the checkpoint, and the configured dataset prepared the way
     the checkpoint's training data was (label codec, feature count, scaler).
-    Returns (cfg, out_dir, params, spec, ds)."""
+    Returns (cfg, out_dir, params, spec, ds, metadata)."""
     cfg, out_dir = _start(args)
     with _Stage("checkpoint"):
         params, spec, metadata = MOD.load(args.checkpoint)
@@ -453,11 +453,19 @@ def _checkpoint_run(args):
                           f"expects {spec.seq_len}")
     if scaler is not None:
         ds = _scaled(ds, scaler)
-    return cfg, out_dir, params, spec, ds
+    return cfg, out_dir, params, spec, ds, metadata
 
 
 def cmd_evaluate(args) -> int:
-    cfg, out_dir, params, spec, ds = _checkpoint_run(args)
+    cfg, out_dir, params, spec, ds, metadata = _checkpoint_run(args)
+    trained = metadata.get("config", {})
+    if not isinstance(trained, dict):
+        raise MOD.CheckpointFormatError(f"checkpoint {args.checkpoint} has a config that "
+                                        "is not a JSON object")
+    # score with the loss the checkpoint was trained with
+    cfg = RunConfig({**cfg.values, **{
+        key: _OPTION[key].check(trained[key], f"checkpoint {args.checkpoint}")
+        for key in ("loss", "focal_gamma", "focal_alpha") if key in trained}})
     with _Stage("evaluate"):
         report = evaluate_model(params, spec, ds, cfg)
     with _Stage("persist"):
@@ -558,7 +566,11 @@ def cmd_loao(args) -> int:
         variant = resolve_variant(cfg.variant, ds.seq_len, retained_codec.n_classes,
                                   cfg.dropout)
         seed_f = derive_seed(cfg.seed, 100 + fold)
-        params, _hist, report, _, _ = fit(cfg, variant.spec, tr, te_retained, cfg.balancing,
+        # focal_alpha follows the codec's class order, which the retained codec keeps
+        alpha = (None if cfg.focal_alpha is None
+                 else cfg.focal_alpha[:held_idx] + cfg.focal_alpha[held_idx + 1:])
+        params, _hist, report, _, _ = fit(RunConfig({**cfg.values, "focal_alpha": alpha}),
+                                          variant.spec, tr, te_retained, cfg.balancing,
                                           rng.spawn(10 + fold), seed_f)
         with _Stage("evaluate"):
             holdout_probs = T.batched_probs(params, variant.spec, te_holdout.X)
@@ -594,7 +606,7 @@ def cmd_explain(args) -> int:
                                      n_permutations=args.permutations)
     except ValueError as exc:
         raise ConfigError(f"explain: {exc}") from exc
-    cfg, out_dir, params, spec, ds = _checkpoint_run(args)
+    cfg, out_dir, params, spec, ds, _metadata = _checkpoint_run(args)
     rng = RngStream(cfg.seed).spawn(7)
     with _Stage("attribution"):
         attribution = E.attribution_summary(params, spec, ds, settings, rng)
@@ -619,7 +631,7 @@ def cmd_explain(args) -> int:
 def cmd_bench(args) -> int:
     if args.batch < 1:
         raise ConfigError(f"bench: --batch must be an integer >= 1, got {args.batch}")
-    cfg, out_dir, params, spec, ds = _checkpoint_run(args)
+    cfg, out_dir, params, spec, ds, _metadata = _checkpoint_run(args)
     with _Stage("bench"):
         _probs, stats = M.inference_bench(params, spec, ds.X, warmup=cfg.bench_warmup,
                                           repeats=cfg.bench_repeats, batch_size=args.batch)

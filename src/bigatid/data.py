@@ -48,21 +48,25 @@ class RawTable:
     """A typed, column-wise view of one CSV: feature columns plus the label
     column, each cell parsed once by `load_csv`.
 
-    kinds[i] is 'numeric' when every non-empty cell of column i parses as a
-    real number (Python's `float`), else 'categorical'; the label column is
-    always categorical. values[i] is a float64 array for a numeric column,
-    with 0.0 in its empty cells, and an object array of the cell strings for
-    a categorical one. empty[i] marks the empty cells of a numeric column, or
-    is None when it has none (and for every categorical column). first_seen
-    marks each row that is the first with its exact field strings, so "1" and
-    "1.0" rows are different rows."""
+    Column i is numeric when every non-empty cell parses as a real number
+    (Python's `float`), else categorical; the label column is always
+    categorical. values[i] is a float64 array for a numeric column, with 0.0
+    in its empty cells, and an object array of the cell strings for a
+    categorical one, so a column's kind is its dtype. empty[i] marks the
+    empty cells of a numeric column, or is None when it has none (and for
+    every categorical column). first_seen marks each row that is the first
+    with its exact field strings, so "1" and "1.0" rows are different rows."""
 
     columns: list[str]
-    kinds: list[str]
     values: list[np.ndarray]
     empty: list[np.ndarray | None]
     first_seen: np.ndarray
     label_column: str
+
+    @property
+    def kinds(self) -> list[str]:
+        """'numeric' or 'categorical' per column, read from its dtype."""
+        return ["categorical" if v.dtype == object else "numeric" for v in self.values]
 
     @property
     def label_index(self) -> int:
@@ -228,18 +232,16 @@ def load_csv(path, label_column: str = "Label") -> RawTable:
     cells_by_column = list(zip(*rows)) if n else [()] * len(columns)
     del rows
     li = columns.index(label_column)
-    kinds, values, empty = [], [], []
+    values, empty = [], []
     for j, cells in enumerate(cells_by_column):
         parsed = None if j == li else _parse_column(cells)
         if parsed is None:
-            kinds.append("categorical")
             values.append(np.array(cells, dtype=object))
             empty.append(None)
         else:
-            kinds.append("numeric")
             values.append(parsed[0])
             empty.append(parsed[1])
-    return RawTable(columns=columns, kinds=kinds, values=values, empty=empty,
+    return RawTable(columns=columns, values=values, empty=empty,
                     first_seen=first_seen, label_column=label_column)
 
 
@@ -250,7 +252,7 @@ def clean(t: RawTable) -> tuple[RawTable, dict]:
     EmptyDatasetError with both counts when nothing is left, naming any
     column that is invalid in every row."""
     li = t.label_index
-    numeric_idx = [j for j in t.feature_indices() if t.kinds[j] == "numeric"]
+    numeric_idx = [j for j, kind in enumerate(t.kinds) if j != li and kind == "numeric"]
 
     def invalid(j):
         if j == li:
@@ -285,7 +287,7 @@ def encode(t: RawTable, codec: LabelCodec | None = None):
     features = np.empty((n, len(feat_idx)), dtype=np.float64)
     for out_j, j in enumerate(feat_idx):
         col = t.values[j]
-        if t.kinds[j] == "numeric":
+        if col.dtype != object:
             features[:, out_j] = col
         else:
             order = {v: k for k, v in enumerate(sorted(set(col)))}
@@ -356,22 +358,24 @@ def stratified_split(ds: Dataset, train_frac: float, rng: RngStream):
     return ds.subset(train_idx), ds.subset(test_idx)
 
 
-def ros_balance(ds: Dataset, rng: RngStream) -> Dataset:
-    """Random oversampling: duplicate minority rows (with replacement) until
-    every class matches the majority count."""
+def _shortfalls(ds: Dataset, balancer: str) -> list[tuple[int, int, np.ndarray]]:
+    """(class, rows it lacks to match the majority count, its member rows)
+    for each class below that count, in class order. Raises DataError,
+    naming `balancer`, when a class has no samples."""
     counts = ds.class_counts()
     if (counts == 0).any():
         missing = ds.codec.from_index(int(np.argmin(counts)))
-        raise DataError(f"ros_balance: class {missing!r} has no samples")
+        raise DataError(f"{balancer}: class {missing!r} has no samples")
     target = counts.max()
-    extra = []
-    for k in range(ds.n_classes):
-        need = int(target - counts[k])
-        if need <= 0:
-            continue
-        members = np.flatnonzero(ds.y == k)
-        picks = members[rng.integers(0, members.size, size=need)]
-        extra.append(picks)
+    return [(k, int(target - counts[k]), np.flatnonzero(ds.y == k))
+            for k in range(ds.n_classes) if counts[k] < target]
+
+
+def ros_balance(ds: Dataset, rng: RngStream) -> Dataset:
+    """Random oversampling: duplicate minority rows (with replacement) until
+    every class matches the majority count."""
+    extra = [members[rng.integers(0, members.size, size=need)]
+             for _, need, members in _shortfalls(ds, "ros_balance")]
     if not extra:
         return ds
     idx = np.concatenate([np.arange(len(ds))] + extra)
@@ -472,19 +476,10 @@ def smote_balance(ds: Dataset, rng: RngStream, k: int = 5) -> Dataset:
     duplication with a warning."""
     if k < 1:
         raise DataError(f"smote_balance: k must be >= 1, got {k}")
-    counts = ds.class_counts()
-    if (counts == 0).any():
-        missing = ds.codec.from_index(int(np.argmin(counts)))
-        raise DataError(f"smote_balance: class {missing!r} has no samples")
-    target = counts.max()
     feats = ds.features()
     new_X = [ds.X]
     new_y = [ds.y]
-    for cls in range(ds.n_classes):
-        need = int(target - counts[cls])
-        if need <= 0:
-            continue
-        members = np.flatnonzero(ds.y == cls)
+    for cls, need, members in _shortfalls(ds, "smote_balance"):
         if members.size == 1:
             warnings.warn(f"smote_balance: class {ds.codec.from_index(cls)!r} has a single "
                           "sample; duplicating instead of interpolating", stacklevel=2)

@@ -1,6 +1,8 @@
-"""Forward and backward passes for every block in the network: dense,
-layer norm, dropout, flatten/concat, GRU (reset-after, dual bias),
-bidirectional GRU, LSTM, and multi-head self-attention.
+"""Forward and backward passes for the network's layers: dense, layer
+norm, dropout, flatten, GRU (reset-after, dual bias), LSTM, and multi-head
+self-attention. A bidirectional GRU is two GRU passes, one with
+reverse=True; `model` runs both directions of its BiGRU kind and joins its
+branches.
 
 Conventions: batch-first shapes, float64 arrays in and out (the layers do
 not coerce their inputs; `model.forward` and `model.backward` do, once, at
@@ -247,7 +249,7 @@ def dropout_backward(mask, rate: float, dy: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# flatten / concat
+# flatten
 # ---------------------------------------------------------------------------
 
 def flatten(x: np.ndarray) -> np.ndarray:
@@ -259,13 +261,6 @@ def flatten(x: np.ndarray) -> np.ndarray:
 
 def flatten_backward(shape: tuple[int, ...], dy: np.ndarray) -> np.ndarray:
     return dy.reshape(shape)
-
-
-def concat_last(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(b, p) || (b, q) -> (b, p+q)."""
-    if a.shape[:-1] != c.shape[:-1]:
-        raise ShapeError(f"concat: leading dimensions disagree, {a.shape} vs {c.shape}")
-    return np.concatenate([a, c], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +288,7 @@ def _ones_column(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# GRU / BiGRU
+# GRU
 # ---------------------------------------------------------------------------
 
 def _input_projection(x: np.ndarray, w: np.ndarray, bias: np.ndarray, k: int) -> np.ndarray:
@@ -404,23 +399,6 @@ def gru_sequence_backward(p: GruParams, cache, dh_seq: np.ndarray):
     da[:, :, 2 * n:] = dah         # now the input pre-activation gradients
     dx, dW_in = _input_backward(p.W_in, x, da)
     return dx, GruParams(W_in=dW_in, W_rec=dW_rec, b_in=db_in, b_rec=db_rec)
-
-
-def bigru_forward(p_fwd: GruParams, p_bwd: GruParams, x: np.ndarray, train: bool = True):
-    """Concatenation [forward || backward-in-time], output width 2n."""
-    if p_fwd.W_in.shape != p_bwd.W_in.shape or p_fwd.W_rec.shape != p_bwd.W_rec.shape:
-        raise ShapeError("bigru: direction parameter shapes disagree")
-    h_f, cache_f = gru_sequence_forward(p_fwd, x, reverse=False, train=train)
-    h_b, cache_b = gru_sequence_forward(p_bwd, x, reverse=True, train=train)
-    cache = (cache_f, cache_b, p_fwd.units) if train else None
-    return np.concatenate([h_f, h_b], axis=-1), cache
-
-
-def bigru_backward(p_fwd: GruParams, p_bwd: GruParams, cache, dy: np.ndarray):
-    cache_f, cache_b, n = cache
-    dx_f, g_fwd = gru_sequence_backward(p_fwd, cache_f, dy[..., :n])
-    dx_b, g_bwd = gru_sequence_backward(p_bwd, cache_b, dy[..., n:])
-    return dx_f + dx_b, g_fwd, g_bwd
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ from .model import VariantSpec
 from .training import batched_probs
 
 
+def _ratio(num, den) -> np.ndarray:
+    """num / den elementwise, 0 where den is 0."""
+    return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+
 @dataclass
 class ConfusionMatrix:
     """c x c counts; rows are true classes, columns predicted."""
@@ -30,9 +35,7 @@ class ConfusionMatrix:
 
     def normalized_rows(self) -> np.ndarray:
         """Each row divided by its sum; rows of absent classes stay zero."""
-        sums = self.counts.sum(axis=1, keepdims=True)
-        safe = np.where(sums > 0, sums, 1.0)
-        return np.where(sums > 0, self.counts / safe, 0.0)
+        return _ratio(self.counts, self.counts.sum(axis=1, keepdims=True))
 
     def tp(self) -> np.ndarray:
         return np.diag(self.counts).astype(np.int64)
@@ -83,21 +86,11 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
         raise ValueError("class_report: empty confusion matrix")
     tp, fp, fn = cm.tp(), cm.fp(), cm.fn()
     support = cm.counts.sum(axis=1)
-    undefined = []
-    c = cm.n_classes
-    precision = np.zeros(c)
-    recall = np.zeros(c)
-    for k in range(c):
-        if tp[k] + fp[k] > 0:
-            precision[k] = tp[k] / (tp[k] + fp[k])
-        else:
-            undefined.append(f"precision[{k}]")
-        if tp[k] + fn[k] > 0:
-            recall[k] = tp[k] / (tp[k] + fn[k])
-        else:
-            undefined.append(f"recall[{k}]")
-    denom = precision + recall
-    f1 = np.where(denom > 0, 2.0 * precision * recall / np.where(denom > 0, denom, 1.0), 0.0)
+    dens = {"precision": tp + fp, "recall": tp + fn}
+    undefined = [f"{name}[{k}]" for k in range(cm.n_classes)
+                 for name, den in dens.items() if den[k] == 0]
+    precision, recall = _ratio(tp, dens["precision"]), _ratio(tp, dens["recall"])
+    f1 = _ratio(2.0 * precision * recall, precision + recall)
     total = float(support.sum())
     weights = support / total
     return ClassReport(
@@ -115,9 +108,8 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
 
 def fpr_per_class(cm: ConfusionMatrix) -> np.ndarray:
     """One-vs-rest FP/(FP+TN) per class; 0 when the denominator is empty."""
-    fp, tn = cm.fp(), cm.tn()
-    denom = fp + tn
-    return np.where(denom > 0, fp / np.where(denom > 0, denom, 1.0), 0.0)
+    fp = cm.fp()
+    return _ratio(fp, fp + cm.tn())
 
 
 def fpr_macro(cm: ConfusionMatrix) -> float:

@@ -13,9 +13,10 @@ feeds attention blocks that would otherwise see width-1 input.
 Block kinds: each kind is one class in the registry below, which alone
 knows the kind's spec fields and their checks, its output width and rank,
 its parameter names and shapes, its initialization, forward and backward,
-and its row in the inspect table. `_compile` turns a spec into nodes that
-carry their kind; everything after it (manifest, build, forward, backward,
-inspect) is a loop over nodes.
+and its row in the inspect table; the BiGRU kind runs both GRU directions
+itself. `_compile` turns a spec into nodes that carry their kind;
+everything after it (manifest, build, forward, backward, inspect) is a
+loop over nodes, and `forward` joins the branch outputs.
 """
 
 from __future__ import annotations
@@ -148,15 +149,22 @@ class _BiGru(_Units):
         return {**_tensors(f"{node.name}.fwd", fwd), **_tensors(f"{node.name}.bwd", bwd)}
 
     def forward(self, node, params, h, train, rng):
-        return layers.bigru_forward(self.view(params, f"{node.name}.fwd"),
-                                    self.view(params, f"{node.name}.bwd"), h, train=train)
+        """Both directions over `h`, joined as [forward || backward-in-time]."""
+        h_f, c_f = layers.gru_sequence_forward(self.view(params, f"{node.name}.fwd"), h,
+                                               train=train)
+        h_b, c_b = layers.gru_sequence_forward(self.view(params, f"{node.name}.bwd"), h,
+                                               reverse=True, train=train)
+        return np.concatenate([h_f, h_b], axis=-1), (c_f, c_b)
 
     def backward(self, node, params, cache, d, grads):
-        d, g_fwd, g_bwd = layers.bigru_backward(self.view(params, f"{node.name}.fwd"),
-                                                self.view(params, f"{node.name}.bwd"), cache, d)
+        n = node.block.units
+        dx_f, g_fwd = layers.gru_sequence_backward(self.view(params, f"{node.name}.fwd"),
+                                                   cache[0], d[..., :n])
+        dx_b, g_bwd = layers.gru_sequence_backward(self.view(params, f"{node.name}.bwd"),
+                                                   cache[1], d[..., n:])
         grads.update(_tensors(f"{node.name}.fwd", g_fwd))
         grads.update(_tensors(f"{node.name}.bwd", g_bwd))
-        return d
+        return dx_f + dx_b
 
 
 class _Lstm(_Units):
@@ -580,9 +588,7 @@ def forward(params: dict, spec: VariantSpec, x: np.ndarray, mode: str = "eval",
         return h, caches
 
     branch_outs, branch_caches = zip(*(run(nodes, x) for nodes in branches))
-    h = branch_outs[0]
-    for extra in branch_outs[1:]:
-        h = layers.concat_last(h, extra)
+    h = branch_outs[0] if len(branch_outs) == 1 else np.concatenate(branch_outs, axis=-1)
     if trace is not None and len(branch_outs) > 1:
         trace.append(("concat", h.shape))
     h, head_caches = run(head, h)

@@ -113,11 +113,13 @@ def focal_loss(probs: np.ndarray, onehot: np.ndarray, gamma: float = 2.0,
 
 
 def loss_fn_for(cfg: TrainConfig, n_classes: int):
-    if cfg.loss == "cce":
-        return cce_loss
+    """The configured loss. A focal_alpha must hold n_classes entries whatever
+    the loss, so a config that trains with cce also trains with focal."""
     alpha = None if cfg.focal_alpha is None else np.asarray(cfg.focal_alpha, dtype=np.float64)
     if alpha is not None and alpha.shape != (n_classes,):
         raise ValueError(f"focal_alpha must have {n_classes} entries")
+    if cfg.loss == "cce":
+        return cce_loss
     return lambda p, y: focal_loss(p, y, gamma=cfg.focal_gamma, alpha=alpha)
 
 

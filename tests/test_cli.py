@@ -229,6 +229,14 @@ class TestTrain:
         assert f"{cfg_path}: {message}" in err and "stage=" not in err
         assert not out.exists()
 
+    def test_focal_alpha_length_checked_whatever_the_loss(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": True, "loss": "cce",
+                                        "focal_alpha": [1, 1, 1, 1, 1]}))
+        assert main(["train", "--config", str(cfg_path), *SMALL, "--epochs", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "focal_alpha must have 3 entries" in capsys.readouterr().err
+
     def test_negative_seed_in_config_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"synth": True, "seed": -1}))
@@ -286,6 +294,45 @@ class TestEvaluate:
         a = json.loads((tmp_path / "ev1" / "eval_report.json").read_text())
         b = json.loads((tmp_path / "ev2" / "eval_report.json").read_text())
         assert strip_timing(a) == strip_timing(b)
+
+    def test_scored_with_the_loss_the_checkpoint_was_trained_with(self, tmp_path):
+        # as a config file naming the training loss would score it
+        assert run_train(tmp_path, extra=["--loss", "focal"]) == 0
+        cfg_path = tmp_path / "focal.json"
+        cfg_path.write_text(json.dumps({"loss": "focal"}))
+        reports = []
+        for name, extra in (("ev1", []), ("ev2", ["--config", str(cfg_path)])):
+            assert main(["evaluate", "--checkpoint", str(tmp_path / "checkpoint.bgid"),
+                         "--synth", *SMALL, "--seed", "5", "--out-dir", str(tmp_path / name),
+                         *extra]) == 0
+            reports.append(json.loads((tmp_path / name / "eval_report.json").read_text()))
+        assert reports[0]["config"]["loss"] == "focal"
+        assert reports[0]["eval"]["loss"] == reports[1]["eval"]["loss"]
+
+    @pytest.mark.parametrize("config, message", [
+        ({"loss": "hinge"}, ": loss must be one of ['cce', 'focal'], got 'hinge'"),
+        ({"focal_alpha": [1, -1, 1]}, ": focal_alpha must be >= 0 in every entry"),
+        ([], " has a config that is not a JSON object"),
+    ], ids=["loss", "alpha", "not-an-object"])
+    def test_malformed_stored_loss_rejected(self, tmp_path, capsys, config, message):
+        spec = dataclasses.replace(tiny_bigat_spec(), seq_len=8)
+        ckpt = tmp_path / "m.bgid"
+        codec = D.LabelCodec.fit(["normal", "attack_01", "attack_02"])
+        MOD.save(build(spec, RngStream(0)), spec, {"codec": codec.to_dict(), "config": config},
+                 ckpt)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--synth", *SMALL,
+                     "--out-dir", str(tmp_path / "ev")]) == 1
+        assert f"checkpoint {ckpt}{message}" in capsys.readouterr().err
+
+    def test_checkpoint_without_config_scored_with_the_run_loss(self, tmp_path):
+        spec = dataclasses.replace(tiny_bigat_spec(), seq_len=8)
+        ckpt = tmp_path / "m.bgid"
+        codec = D.LabelCodec.fit(["normal", "attack_01", "attack_02"])
+        MOD.save(build(spec, RngStream(0)), spec, {"codec": codec.to_dict()}, ckpt)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--synth", *SMALL,
+                     "--out-dir", str(tmp_path / "ev")]) == 0
+        report = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
+        assert report["config"]["loss"] == "cce"
 
     def test_loaded_model_predicts_bit_identically(self, tmp_path):
         run_train(tmp_path)
@@ -420,6 +467,24 @@ class TestLoao:
         assert rc == 0
         report = json.loads((tmp_path / "loao_report.json").read_text())
         assert [r["held_out"] for r in report["results"]] == ["attack_01", "attack_02"]
+
+    def test_fold_drops_the_held_out_focal_alpha_entry(self, tmp_path, monkeypatch):
+        # codec order: attack_01, attack_02, normal
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": True, "loss": "focal",
+                                        "focal_alpha": [1, 2, 3]}))
+        alphas = []
+        real_train = T.train
+
+        def recording_train(spec, train_ds, val_ds, cfg):
+            alphas.append(cfg.focal_alpha)
+            return real_train(spec, train_ds, val_ds, cfg)
+
+        monkeypatch.setattr(cli.T, "train", recording_train)
+        assert main(["loao", "--config", str(cfg_path), *SMALL, "--seed", "5",
+                     "--epochs", "1", "--batch-size", "32", "--sweep",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert alphas == [[2, 3], [1, 3]]
 
     def test_normal_class_cannot_be_held_out(self, tmp_path, capsys):
         rc = main(["loao", "--synth", *SMALL, "--seed", "5",

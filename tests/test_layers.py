@@ -104,18 +104,6 @@ class TestFlattenConcat:
         with pytest.raises(ShapeError):
             L.flatten(np.zeros((3, 5)))
 
-    def test_concat_widths(self):
-        assert L.concat_last(np.zeros((2, 10_624)), np.zeros((2, 32))).shape == (2, 10_656)
-        assert L.concat_last(np.zeros((2, 7_680)), np.zeros((2, 32))).shape == (2, 7_712)
-
-    def test_concat_with_empty(self):
-        a = RngStream(8).normal(size=(4, 3))
-        assert np.array_equal(L.concat_last(a, np.zeros((4, 0))), a)
-
-    def test_concat_batch_mismatch(self):
-        with pytest.raises(ShapeError):
-            L.concat_last(np.zeros((2, 3)), np.zeros((3, 3)))
-
 
 # (seed, (batch, T)): three seeds at a small shape, then batch 1 with T=1, the
 # edge shape of the recurrences' hoisted input GEMMs and after-loop weight GEMMs.
@@ -172,57 +160,6 @@ class TestGru:
             check_layer_grads(
                 p, lambda p_, x_: L.gru_sequence_forward(p_, x_, reverse=reverse),
                 L.gru_sequence_backward, x, rng)
-
-
-class TestBigru:
-    def test_published_width(self):
-        rng = RngStream(12)
-        p_f = L.GruParams.init(rng, 1, 64)
-        p_b = L.GruParams.init(rng, 1, 64)
-        y, _ = L.bigru_forward(p_f, p_b, rng.normal(size=(2, 83, 1)))
-        assert y.shape == (2, 83, 128)
-
-    def test_equals_independent_directions(self):
-        rng = RngStream(13)
-        p_f = L.GruParams.init(rng, 1, 4)
-        p_b = L.GruParams.init(rng, 1, 4)
-        x = rng.normal(size=(2, 6, 1))
-        y, _ = L.bigru_forward(p_f, p_b, x)
-        h_f, _ = L.gru_sequence_forward(p_f, x)
-        h_b, _ = L.gru_sequence_forward(p_b, x, reverse=True)
-        assert np.array_equal(y, np.concatenate([h_f, h_b], axis=-1))
-
-    def test_tied_params_constant_input_time_symmetry(self):
-        rng = RngStream(14)
-        p = L.GruParams.init(rng, 1, 4)
-        x = np.ones((1, 5, 1)) * 0.3
-        y, _ = L.bigru_forward(p, p, x)
-        fwd, bwd = y[..., :4], y[..., 4:]
-        assert np.abs(fwd - bwd[:, ::-1]).max() < 1e-12
-
-    def test_direction_shape_disagreement(self):
-        rng = RngStream(15)
-        with pytest.raises(ShapeError):
-            L.bigru_forward(L.GruParams.init(rng, 1, 4), L.GruParams.init(rng, 1, 5),
-                            np.zeros((1, 3, 1)))
-
-    def test_gradients(self):
-        rng = RngStream(16)
-        p_f = L.GruParams.init(rng, 1, 4)
-        p_b = L.GruParams.init(rng, 1, 4)
-        x = rng.normal(size=(2, 3, 1))
-        y, cache = L.bigru_forward(p_f, p_b, x)
-        dy = rng.normal(size=y.shape)
-        dx, g_f, g_b = L.bigru_backward(p_f, p_b, cache, dy)
-        fd = finite_diff_grad(
-            lambda v: float((L.bigru_forward(p_f, p_b, v)[0] * dy).sum()), x)
-        assert grad_mismatch(dx, fd) < 1e-4
-        for fld in ("W_in", "W_rec", "b_in", "b_rec"):
-            fd = finite_diff_grad(
-                lambda t, fld=fld: float((L.bigru_forward(
-                    dataclasses.replace(p_f, **{fld: t}), p_b, x)[0] * dy).sum()),
-                getattr(p_f, fld))
-            assert grad_mismatch(getattr(g_f, fld), fd) < 1e-4
 
 
 class TestLstm:

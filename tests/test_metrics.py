@@ -90,6 +90,11 @@ class TestClassReport:
         assert "precision[1]" in report.undefined
         assert "precision[2]" in report.undefined
 
+    def test_undefined_scores_listed_by_class(self):
+        # class 0 is predicted but never true, class 1 true but never predicted
+        cm = M.confusion(np.array([1, 2, 2]), np.array([0, 2, 2]), 3)
+        assert M.class_report(cm).undefined == ["recall[0]", "precision[1]"]
+
     def test_accuracy_equals_micro_recall_identity(self):
         for seed in range(10):
             rng = RngStream(seed)

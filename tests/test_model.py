@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import shrink_variant, tiny_bigat_spec
+from conftest import check_model_grads, shrink_variant, tiny_bigat_spec
 from bigatid import layers as L
 from bigatid.model import (
     BlockSpec,
@@ -17,6 +17,7 @@ from bigatid.model import (
     CheckpointVersionError,
     ConstructionError,
     VariantSpec,
+    _compile,
     backward,
     bigat_spec,
     build,
@@ -261,6 +262,49 @@ class TestConstructionErrors:
         for v in table5_variants(83, 6):
             assert VariantSpec.from_dict(v.spec.to_dict()) == v.spec, v.label
         assert VariantSpec.from_dict(tiny_bigat_spec().to_dict()) == tiny_bigat_spec()
+
+
+def bigru_only_spec(seq_len: int, units: int) -> VariantSpec:
+    return VariantSpec(seq_len, 2, ((BlockSpec("bigru", units=units),),), head=(3,))
+
+
+def run_bigru_node(params, spec, x):
+    """The output of the spec's one bigru node, and its parameters per direction."""
+    node = _compile(spec)[0][0][0]
+    y, _ = node.kind.forward(node, params, x, True, None)
+    return y, [node.kind.view(params, f"{node.name}.{d}") for d in ("fwd", "bwd")]
+
+
+class TestBigru:
+    def test_published_width(self):
+        spec = bigru_only_spec(83, 64)
+        trace = []
+        forward(build(spec, RngStream(12)), spec, RngStream(13).normal(size=(2, 83, 1)),
+                trace=trace)
+        assert ("branch1.0_bigru", (2, 83, 128)) in trace
+
+    def test_equals_independent_directions(self):
+        spec = bigru_only_spec(6, 4)
+        x = RngStream(13).normal(size=(2, 6, 1))
+        y, (p_f, p_b) = run_bigru_node(build(spec, RngStream(14)), spec, x)
+        h_f, _ = L.gru_sequence_forward(p_f, x)
+        h_b, _ = L.gru_sequence_forward(p_b, x, reverse=True)
+        assert np.array_equal(y, np.concatenate([h_f, h_b], axis=-1))
+
+    def test_tied_params_constant_input_time_symmetry(self):
+        spec = bigru_only_spec(5, 4)
+        params = build(spec, RngStream(14))
+        params = {name: params[name.replace(".bwd.", ".fwd.")] for name in params}
+        y, _ = run_bigru_node(params, spec, np.ones((1, 5, 1)) * 0.3)
+        fwd, bwd = y[..., :4], y[..., 4:]
+        assert np.abs(fwd - bwd[:, ::-1]).max() < 1e-12
+
+    def test_gradients(self):
+        check_model_grads(bigru_only_spec(3, 4), seed=16)
+        # behind a projection, whose gradients need the BiGRU's input gradient
+        check_model_grads(VariantSpec(3, 2, ((BlockSpec("proj", units=2),
+                                              BlockSpec("bigru", units=4)),), head=(3,)),
+                          seed=17)
 
 
 class TestLayerCalls:
