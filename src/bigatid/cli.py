@@ -332,14 +332,15 @@ def evaluate_model(params, spec, test_ds: D.Dataset, cfg: RunConfig) -> M.EvalRe
 
 
 def fit(cfg: RunConfig, spec, train_ds: D.Dataset, test_ds: D.Dataset, strategy: str,
-        rng: RngStream, seed: int):
+        rng: RngStream, seed: int, *, val_ds: D.Dataset):
     """Balance `train_ds` by `strategy` from `rng`, train `spec` on it with
-    `seed`, then evaluate on `test_ds`, each step in its stage. Every command
-    that fits a model fits it here. Returns (params, history, report,
-    train_sec, eval_sec): the seconds of its train and evaluate stages."""
+    `seed`, validating on `val_ds` after every epoch (none when it is empty),
+    then evaluate on `test_ds`, each step in its stage. Every command that
+    fits a model fits it here. Returns (params, history, report, train_sec,
+    eval_sec): the seconds of its train and evaluate stages."""
     train_bal = balance_train(cfg, train_ds, rng, strategy)
     with _Stage("train") as training:
-        params, history = T.train(spec, train_bal, test_ds, cfg.train_config(seed=seed))
+        params, history = T.train(spec, train_bal, val_ds, cfg.train_config(seed=seed))
     with _Stage("evaluate") as evaluation:
         report = evaluate_model(params, spec, test_ds, cfg)
     return params, history, report, training.seconds, evaluation.seconds
@@ -384,7 +385,7 @@ def cmd_train(args) -> int:
     train_ds, test_ds, scaler = split_and_scale(cfg, ds, rng)
     variant = resolve_variant(cfg.variant, ds.seq_len, ds.n_classes, cfg.dropout)
     params, history, report, train_sec, eval_sec = fit(
-        cfg, variant.spec, train_ds, test_ds, cfg.balancing, rng, cfg.seed)
+        cfg, variant.spec, train_ds, test_ds, cfg.balancing, rng, cfg.seed, val_ds=test_ds)
 
     with _Stage("persist"):
         ckpt_path = out_dir / "checkpoint.bgid"
@@ -423,15 +424,22 @@ def cmd_train(args) -> int:
 
 def _checkpoint_run(args):
     """The preamble of the checkpoint commands: the merged config, its output
-    directory, the checkpoint, and the configured dataset prepared the way
-    the checkpoint's training data was (label codec, feature count, scaler).
-    Returns (cfg, out_dir, params, spec, ds, metadata)."""
+    directory, the checkpoint, the loss keys of its stored training config,
+    checked, and the configured dataset prepared the way the checkpoint's
+    training data was (label codec, feature count, scaler). Returns (cfg,
+    out_dir, params, spec, ds, trained_loss)."""
     cfg, out_dir = _start(args)
     with _Stage("checkpoint"):
         params, spec, metadata = MOD.load(args.checkpoint)
         if "codec" not in metadata:
             raise MOD.CheckpointFormatError(f"checkpoint {args.checkpoint} has no label "
                                             "codec: its metadata lacks 'codec'")
+        trained = metadata.get("config", {})
+        if not isinstance(trained, dict):
+            raise MOD.CheckpointFormatError(f"checkpoint {args.checkpoint} has a config "
+                                            "that is not a JSON object")
+        trained_loss = {key: _OPTION[key].check(trained[key], f"checkpoint {args.checkpoint}")
+                        for key in ("loss", "focal_gamma", "focal_alpha") if key in trained}
         codec = D.LabelCodec.from_dict(metadata["codec"])
         scaler = (None if metadata.get("scaler") is None
                   else D.ScalerParams.from_dict(metadata["scaler"]))
@@ -453,19 +461,13 @@ def _checkpoint_run(args):
                           f"expects {spec.seq_len}")
     if scaler is not None:
         ds = _scaled(ds, scaler)
-    return cfg, out_dir, params, spec, ds, metadata
+    return cfg, out_dir, params, spec, ds, trained_loss
 
 
 def cmd_evaluate(args) -> int:
-    cfg, out_dir, params, spec, ds, metadata = _checkpoint_run(args)
-    trained = metadata.get("config", {})
-    if not isinstance(trained, dict):
-        raise MOD.CheckpointFormatError(f"checkpoint {args.checkpoint} has a config that "
-                                        "is not a JSON object")
+    cfg, out_dir, params, spec, ds, trained_loss = _checkpoint_run(args)
     # score with the loss the checkpoint was trained with
-    cfg = RunConfig({**cfg.values, **{
-        key: _OPTION[key].check(trained[key], f"checkpoint {args.checkpoint}")
-        for key in ("loss", "focal_gamma", "focal_alpha") if key in trained}})
+    cfg = RunConfig({**cfg.values, **trained_loss})
     with _Stage("evaluate"):
         report = evaluate_model(params, spec, ds, cfg)
     with _Stage("persist"):
@@ -488,6 +490,7 @@ def cmd_ablate(args) -> int:
     train_ds, test_ds, _scaler = split_and_scale(cfg, ds, rng)
     balanced_strategy = cfg.balancing if cfg.balancing != "none" else "ros"
     settings = [("unbalanced", "none"), ("balanced", balanced_strategy)]
+    no_val = test_ds.subset(slice(0))  # the table keeps no training history
 
     rows = []
     any_failed = False
@@ -501,7 +504,7 @@ def cmd_ablate(args) -> int:
             try:
                 seed_v = derive_seed(cfg.seed, variant.id, si)
                 _params, _hist, report, _, _ = fit(cfg, variant.spec, train_ds, test_ds,
-                                                   strategy, rng, seed_v)
+                                                   strategy, rng, seed_v, val_ds=no_val)
                 row.update(accuracy=report.accuracy, loss=report.loss,
                            fpr=report.fpr_macro)
             except Exception as exc:  # isolate the failing row, keep sweeping
@@ -539,12 +542,17 @@ def cmd_loao(args) -> int:
     rng = RngStream(cfg.seed)
 
     ds = load_source_dataset(cfg, rng)
-    train_ds, test_ds, _scaler = split_and_scale(cfg, ds, rng)
     classes = list(ds.codec.classes)
     if cfg.normal_class not in classes:
         raise ConfigError(f"normal class {cfg.normal_class!r} not in {classes}")
     if args.held_out and args.held_out not in classes:
         raise ConfigError(f"held-out class {args.held_out!r} not in {classes}")
+    try:  # against the dataset's classes; each fold then drops one entry
+        T.loss_fn_for(cfg.train_config(), ds.n_classes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    train_ds, test_ds, _scaler = split_and_scale(cfg, ds, rng)
+    no_val = test_ds.subset(slice(0))  # the report keeps no training history
     # a fold's random streams follow its class's place among the attacks, so
     # a single-fold run reproduces that class's row of the sweep
     attacks = [c for c in classes if c != cfg.normal_class]
@@ -571,11 +579,11 @@ def cmd_loao(args) -> int:
                  else cfg.focal_alpha[:held_idx] + cfg.focal_alpha[held_idx + 1:])
         params, _hist, report, _, _ = fit(RunConfig({**cfg.values, "focal_alpha": alpha}),
                                           variant.spec, tr, te_retained, cfg.balancing,
-                                          rng.spawn(10 + fold), seed_f)
+                                          rng.spawn(10 + fold), seed_f, val_ds=no_val)
         with _Stage("evaluate"):
             holdout_probs = T.batched_probs(params, variant.spec, te_holdout.X)
             detected = holdout_probs.argmax(axis=1) != retained_codec.to_index(cfg.normal_class)
-            detection_rate = float(detected.mean()) if len(te_holdout) else 0.0
+            detection_rate = float(detected.mean())
             combined_correct = int(report.cm.tp().sum()) + int(detected.sum())
             combined_acc = combined_correct / (len(te_retained) + len(te_holdout))
         results.append({
@@ -606,7 +614,7 @@ def cmd_explain(args) -> int:
                                      n_permutations=args.permutations)
     except ValueError as exc:
         raise ConfigError(f"explain: {exc}") from exc
-    cfg, out_dir, params, spec, ds, _metadata = _checkpoint_run(args)
+    cfg, out_dir, params, spec, ds, _trained_loss = _checkpoint_run(args)
     rng = RngStream(cfg.seed).spawn(7)
     with _Stage("attribution"):
         attribution = E.attribution_summary(params, spec, ds, settings, rng)
@@ -631,7 +639,7 @@ def cmd_explain(args) -> int:
 def cmd_bench(args) -> int:
     if args.batch < 1:
         raise ConfigError(f"bench: --batch must be an integer >= 1, got {args.batch}")
-    cfg, out_dir, params, spec, ds, _metadata = _checkpoint_run(args)
+    cfg, out_dir, params, spec, ds, _trained_loss = _checkpoint_run(args)
     with _Stage("bench"):
         _probs, stats = M.inference_bench(params, spec, ds.X, warmup=cfg.bench_warmup,
                                           repeats=cfg.bench_repeats, batch_size=args.batch)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, to_sequences
 from .model import VariantSpec
 from .numerics import RngStream
 from .training import batched_probs
@@ -114,7 +114,7 @@ def model_value_fn(params: dict, spec: VariantSpec):
     eval-mode class probabilities, through `batched_probs` in forwards of
     at most its EVAL_BATCH rows."""
     def f(rows: np.ndarray) -> np.ndarray:
-        return batched_probs(params, spec, rows.reshape(rows.shape[0], -1, 1))
+        return batched_probs(params, spec, to_sequences(rows))
     return f
 
 

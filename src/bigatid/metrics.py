@@ -117,9 +117,8 @@ def fpr_macro(cm: ConfusionMatrix) -> float:
 
 
 def fpr_micro(cm: ConfusionMatrix) -> float:
-    fp = float(cm.fp().sum())
-    tn = float(cm.tn().sum())
-    return fp / (fp + tn) if fp + tn > 0 else 0.0
+    fp = cm.fp().sum()
+    return float(_ratio(fp, fp + cm.tn().sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -309,20 +309,26 @@ class TestEvaluate:
         assert reports[0]["config"]["loss"] == "focal"
         assert reports[0]["eval"]["loss"] == reports[1]["eval"]["loss"]
 
-    @pytest.mark.parametrize("config, message", [
-        ({"loss": "hinge"}, ": loss must be one of ['cce', 'focal'], got 'hinge'"),
-        ({"focal_alpha": [1, -1, 1]}, ": focal_alpha must be >= 0 in every entry"),
-        ([], " has a config that is not a JSON object"),
-    ], ids=["loss", "alpha", "not-an-object"])
-    def test_malformed_stored_loss_rejected(self, tmp_path, capsys, config, message):
+    @pytest.mark.parametrize("config, message, source", [
+        pytest.param(config, message, source, id=name + when)
+        for when, source in (("", ["--synth", *SMALL]),
+                             ("-before-the-data-is-read", ["--csv", "missing.csv"]))
+        for name, config, message in (
+            ("loss", {"loss": "hinge"}, ": loss must be one of ['cce', 'focal'], got 'hinge'"),
+            ("alpha", {"focal_alpha": [1, -1, 1]}, ": focal_alpha must be >= 0 in every entry"),
+            ("not-an-object", [], " has a config that is not a JSON object"))])
+    def test_malformed_stored_loss_rejected(self, tmp_path, monkeypatch, capsys, config,
+                                            message, source):
+        monkeypatch.chdir(tmp_path)  # where missing.csv is not
         spec = dataclasses.replace(tiny_bigat_spec(), seq_len=8)
         ckpt = tmp_path / "m.bgid"
         codec = D.LabelCodec.fit(["normal", "attack_01", "attack_02"])
         MOD.save(build(spec, RngStream(0)), spec, {"codec": codec.to_dict(), "config": config},
                  ckpt)
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--synth", *SMALL,
+        assert main(["evaluate", "--checkpoint", str(ckpt), *source,
                      "--out-dir", str(tmp_path / "ev")]) == 1
-        assert f"checkpoint {ckpt}{message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt}{message}" in err and "stage=load" not in err
 
     def test_checkpoint_without_config_scored_with_the_run_loss(self, tmp_path):
         spec = dataclasses.replace(tiny_bigat_spec(), seq_len=8)
@@ -485,6 +491,18 @@ class TestLoao:
                      "--epochs", "1", "--batch-size", "32", "--sweep",
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert alphas == [[2, 3], [1, 3]]
+
+    def test_focal_alpha_checked_against_the_dataset_before_any_fold(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": True, "loss": "focal",
+                                        "focal_alpha": [1, 1, 1, 1]}))
+        calls = []
+        monkeypatch.setattr(cli.T, "train", lambda *args: calls.append(args))
+        assert main(["loao", "--config", str(cfg_path), *SMALL, "--epochs", "1",
+                     "--sweep", "--out-dir", str(tmp_path / "out")]) == 1
+        assert "focal_alpha must have 3 entries" in capsys.readouterr().err
+        assert calls == []
 
     def test_normal_class_cannot_be_held_out(self, tmp_path, capsys):
         rc = main(["loao", "--synth", *SMALL, "--seed", "5",
@@ -710,6 +728,28 @@ class TestAblate:
         assert all(r["error"].startswith("[stage=train] injected failure") for r in failed)
         assert [r["status"] for r in rows if r["variant"] != 7] == ["ok"] * 22
         assert len((tmp_path / "ablation.csv").read_text().strip().splitlines()) == 25
+
+
+class TestFit:
+    @pytest.mark.parametrize("command, argv, val_sizes", [
+        ("train", [], [24]),  # the test split: 8 of each class's 40 rows
+        ("ablate", [], [0] * 24),
+        ("loao", ["--sweep"], [0, 0]),
+    ], ids=["train", "ablate", "loao"])
+    def test_only_train_validates_per_epoch(self, tmp_path, monkeypatch, command, argv,
+                                            val_sizes):
+        # ablate and loao keep no training history, so they validate on nothing
+        sizes = []
+        real_train = T.train
+
+        def recording_train(spec, train_ds, val_ds, cfg):
+            sizes.append(len(val_ds))
+            return real_train(spec, train_ds, val_ds, cfg)
+
+        monkeypatch.setattr(cli.T, "train", recording_train)
+        assert main([command, "--synth", *SMALL, *argv, "--seed", "5", "--epochs", "1",
+                     "--batch-size", "32", "--out-dir", str(tmp_path)]) == 0
+        assert sizes == val_sizes
 
 
 class TestRunConfig:
