@@ -325,7 +325,7 @@ def evaluate_model(params, spec, test_ds: D.Dataset, cfg: RunConfig) -> M.EvalRe
     """The report of one eval-mode pass over `test_ds`, timed as it runs;
     `bigatid bench` is the repeated measurement."""
     probs, stats = M.inference_bench(params, spec, test_ds.X, warmup=0, repeats=1,
-                                     batch_size=T.EVAL_BATCH)
+                                     batch_size=MOD.eval_rows(spec))
     loss_fn = T.loss_fn_for(cfg.train_config(), spec.n_classes)
     loss, _ = loss_fn(probs, D.one_hot(test_ds.y, spec.n_classes))
     return M.evaluate_probs(probs, test_ds.y, list(test_ds.codec.classes), loss, bench=stats)
@@ -384,8 +384,10 @@ def cmd_train(args) -> int:
     ds = load_source_dataset(cfg, rng)
     train_ds, test_ds, scaler = split_and_scale(cfg, ds, rng)
     variant = resolve_variant(cfg.variant, ds.seq_len, ds.n_classes, cfg.dropout)
+    # the data stages draw from RngStream(cfg.seed); training gets its own seed
     params, history, report, train_sec, eval_sec = fit(
-        cfg, variant.spec, train_ds, test_ds, cfg.balancing, rng, cfg.seed, val_ds=test_ds)
+        cfg, variant.spec, train_ds, test_ds, cfg.balancing, rng, derive_seed(cfg.seed, 0),
+        val_ds=test_ds)
 
     with _Stage("persist"):
         ckpt_path = out_dir / "checkpoint.bgid"

@@ -305,7 +305,19 @@ def encode(t: RawTable, codec: LabelCodec | None = None):
 # ---------------------------------------------------------------------------
 
 def fit_scaler(train_features: np.ndarray) -> ScalerParams:
-    return ScalerParams(mins=train_features.min(axis=0), maxs=train_features.max(axis=0))
+    """Each feature's min and max over the training rows. A feature whose
+    span max - min is not finite in float64 cannot be min-max scaled:
+    DataError names its position among the features, counted from 0."""
+    mins, maxs = train_features.min(axis=0), train_features.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = np.flatnonzero(~np.isfinite(maxs - mins))
+    if wide.size:
+        j = int(wide[0])
+        more = f" ({wide.size - 1} more feature(s) too)" if wide.size > 1 else ""
+        raise DataError(f"fit_scaler: feature {j} spans {float(mins[j])!r} to "
+                        f"{float(maxs[j])!r}, a range that is not finite in float64, "
+                        f"so it cannot be scaled{more}")
+    return ScalerParams(mins=mins, maxs=maxs)
 
 
 def apply_scaler(p: ScalerParams, features: np.ndarray) -> np.ndarray:

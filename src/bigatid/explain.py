@@ -112,7 +112,8 @@ def _walk_keys(perms: np.ndarray) -> np.ndarray:
 def model_value_fn(params: dict, spec: VariantSpec):
     """Wrap the model as a batched feature-row function: (k, T) -> (k, c)
     eval-mode class probabilities, through `batched_probs` in forwards of
-    at most its EVAL_BATCH rows."""
+    at most `model.eval_rows(spec)` rows, the rows of EVAL_ROW_STEPS time
+    steps (512 at T=20)."""
     def f(rows: np.ndarray) -> np.ndarray:
         return batched_probs(params, spec, to_sequences(rows))
     return f

@@ -41,6 +41,12 @@ from .numerics import RngStream, ShapeError, as_f64
 CHECKPOINT_MAGIC = b"BGID"
 CHECKPOINT_VERSION = 1
 
+# Rows x time steps of one eval forward at most: 512 rows at T=20, 123 at
+# T=83. Each (rows, T, 128) float64 activation is then at most 10.5 MB,
+# under glibc's 32 MiB mmap threshold, and an eval pass holds one chunk's
+# activations whatever its batch.
+EVAL_ROW_STEPS = 10_240
+
 
 class ConstructionError(ValueError):
     """A variant spec is internally inconsistent; the message names the block."""
@@ -595,9 +601,30 @@ def forward(params: dict, spec: VariantSpec, x: np.ndarray, mode: str = "eval",
     return h, ({"branches": branch_caches, "head": head_caches} if train else None)
 
 
-def predict(params: dict, spec: VariantSpec, x: np.ndarray) -> np.ndarray:
-    """Deterministic eval-mode class probabilities, (b, n_classes)."""
-    probs, _ = forward(params, spec, x, mode="eval")
+def eval_rows(spec: VariantSpec) -> int:
+    """The most rows of one eval forward: those of EVAL_ROW_STEPS time steps, at least one."""
+    return max(1, EVAL_ROW_STEPS // spec.seq_len)
+
+
+def predict(params: dict, spec: VariantSpec, x: np.ndarray,
+            batch_size: int | None = None) -> np.ndarray:
+    """Deterministic eval-mode class probabilities, (b, n_classes); (0,
+    n_classes) for an empty batch. The library's one eval loop: it runs
+    `forward` over chunks of `batch_size` rows, by default `eval_rows(spec)`,
+    into one output array, and the last two chunks split their rows evenly.
+    So no chunk is a short tail: a forward of a few rows runs other BLAS
+    kernels, which can move its probabilities by a few ulps, while with
+    chunks of the default size every row's probabilities in the tests are
+    a whole-batch forward's, bit for bit."""
+    rows = eval_rows(spec) if batch_size is None else batch_size
+    if rows < 1:
+        raise ValueError(f"predict: batch_size must be >= 1, got {rows}")
+    bounds = [*range(0, len(x), rows), len(x)]
+    if len(bounds) > 2:
+        bounds[-2] = (bounds[-3] + len(x)) // 2
+    probs = np.empty((len(x), spec.n_classes))
+    for lo, hi in zip(bounds, bounds[1:]):
+        probs[lo:hi], _ = forward(params, spec, x[lo:hi], mode="eval")
     return probs
 
 

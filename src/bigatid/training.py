@@ -8,13 +8,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, one_hot
-from .model import VariantSpec, backward, build, forward
+from .model import VariantSpec, backward, build, forward, predict
 from .numerics import RngStream
 
 LOSS_KINDS = ("cce", "focal")
 
 PROB_FLOOR = 1e-12
-EVAL_BATCH = 512
 
 
 class TrainingDivergedError(RuntimeError):
@@ -180,14 +179,11 @@ def global_norm_clip(grads: dict, max_norm: float) -> dict:
 # training loop
 # ---------------------------------------------------------------------------
 
-def batched_probs(params, spec, X, batch_size: int = EVAL_BATCH) -> np.ndarray:
-    """Eval-mode probabilities over a full dataset, chunked to bound memory.
+def batched_probs(params, spec, X, batch_size: int | None = None) -> np.ndarray:
+    """Eval-mode probabilities over a full dataset by `model.predict`, in
+    forwards of at most `batch_size` rows, by default `eval_rows(spec)`.
     Every evaluation, timing and attribution path runs the model through here."""
-    outs = []
-    for start in range(0, X.shape[0], batch_size):
-        probs, _ = forward(params, spec, X[start:start + batch_size], mode="eval")
-        outs.append(probs)
-    return np.concatenate(outs) if outs else np.empty((0, spec.n_classes))
+    return predict(params, spec, X, batch_size)
 
 
 def train(spec: VariantSpec, train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig,

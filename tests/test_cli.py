@@ -73,6 +73,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "stage=load" in err and "Label" in err
 
+    def test_range_that_overflows_fails_at_the_scale_stage(self, tmp_path, capsys):
+        # every cell is finite, so load and clean keep the rows; only
+        # fit_scaler's max - min overflows
+        csv = tmp_path / "wide.csv"
+        rows = [f"{k % 5}.5,{'' if k % 2 else '-'}1.7e308,{'ab'[k % 2]}" for k in range(20)]
+        csv.write_text("a,b,Label\n" + "\n".join(rows) + "\n")
+        rc = main(["train", "--csv", str(csv), "--out-dir", str(tmp_path / "out"),
+                   "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: [stage=scale] fit_scaler: feature 1 spans -1.7e+308 to 1.7e+308, "
+            "a range that is not finite in float64, so it cannot be scaled\n")
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         rc = main(["train", "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -422,7 +435,7 @@ class TestEvaluateModel:
             seen.append(len(x))
             return real_forward(params, spec, x, *args, **kwargs)
 
-        for mod in (cli.T, cli.M):
+        for mod in (MOD, cli.T, cli.M):
             if getattr(mod, "forward", None) is real_forward:
                 monkeypatch.setattr(mod, "forward", counting_forward)
         report = cli.evaluate_model(params, spec, test_ds, RunConfig(dict(RUN_DEFAULTS)))
@@ -516,13 +529,6 @@ class TestLoao:
         assert rc == 1
         assert "worm" in capsys.readouterr().err
 
-    def test_sweep_with_held_out_rejected(self, tmp_path, capsys):
-        rc = main(["loao", "--synth", *SMALL, "--seed", "5", "--out-dir", str(tmp_path),
-                   "--sweep", "--held-out", "attack_01"])
-        assert rc == 1
-        assert "pass --held-out CLASS or --sweep, not both" in capsys.readouterr().err
-        assert not (tmp_path / "loao_report.json").exists()
-
     @pytest.mark.parametrize("argv, message", [
         (["--sweep", "--held-out", "attack_01"], "pass --held-out CLASS or --sweep, not both"),
         ([], "pass --held-out CLASS or --sweep"),
@@ -534,6 +540,7 @@ class TestLoao:
                    "--out-dir", str(tmp_path / "out"), *argv])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "loao_report.json").exists()
 
     def test_held_out_reproduces_its_sweep_row(self, tmp_path):
         common = ["loao", "--synth", *SMALL, "--seed", "5", "--epochs", "1",
@@ -779,6 +786,30 @@ class TestSeedDerivation:
     def test_stable_and_distinct(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
+
+    def test_train_draws_from_no_data_stream(self, tmp_path, monkeypatch):
+        # every stream a `train` run draws from, as (seed, key path): those
+        # drawn while training.train runs, and those drawn by the data stages
+        drawn = {"data": set(), "training": set()}
+        phase = ["data"]
+        for name in [m for m in vars(RngStream) if not m.startswith("_") and m != "spawn"]:
+            def recording(stream, *args, _draw=getattr(RngStream, name), **kwargs):
+                drawn[phase[0]].add((stream.seed, stream._key))
+                return _draw(stream, *args, **kwargs)
+            monkeypatch.setattr(RngStream, name, recording)
+        real_train = T.train
+
+        def training(*args, **kwargs):
+            phase[0] = "training"
+            try:
+                return real_train(*args, **kwargs)
+            finally:
+                phase[0] = "data"
+        monkeypatch.setattr(cli.T, "train", training)
+        assert run_train(tmp_path, extra=["--synth-imbalance", "1,0.5,1"]) == 0
+        # synthetic data, split and RoS; initial weights, shuffles and dropout
+        assert len(drawn["data"]) == 3 and len(drawn["training"]) == 3
+        assert drawn["data"].isdisjoint(drawn["training"]), drawn
 
 
 class TestEnvironmentVariables:

@@ -1,6 +1,8 @@
 import csv
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +319,19 @@ class TestScaler:
         p = D.fit_scaler(np.array([[0.0], [10.0]]))
         out = D.apply_scaler(p, np.array([[12.0], [-3.0]]))
         assert out.ravel().tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("column, message", [
+        ([1.7e308, -1.7e308, 0.0], "feature 1 spans -1.7e+308 to 1.7e+308, a range that is "
+                                   "not finite in float64, so it cannot be scaled"),
+        ([1.0, math.inf, 0.0], "feature 1 spans 0.0 to inf"),
+    ], ids=["overflow", "inf"])
+    def test_span_that_is_not_finite_rejected_naming_the_feature(self, column, message):
+        features = np.column_stack([[1.0, 2.0, 3.0], column, [5.0, 6.0, 7.0]])
+        # the message itself is checked, under a warning filter that raises nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(D.DataError, match=re.escape(f"fit_scaler: {message}")):
+                D.fit_scaler(features)
 
     def test_round_trip_dict(self):
         p = D.fit_scaler(RngStream(0).normal(size=(5, 3)))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import shapley_exact_small, tiny_bigat_spec, traced_peak
-from bigatid import data as D, training as T
+from bigatid import data as D, model as MOD
 from bigatid.explain import (
     Attribution,
     ShapleySettings,
@@ -12,7 +12,7 @@ from bigatid.explain import (
     model_value_fn,
     shapley_permutation,
 )
-from bigatid.model import VariantSpec, build, forward, predict
+from bigatid.model import VariantSpec, build, forward
 from bigatid.numerics import RngStream
 from bigatid.training import TrainConfig, train
 
@@ -293,23 +293,26 @@ class TestModelEstimator:
         scale = max(np.abs(exact).max(), 1e-6)
         assert np.abs(mc - exact).max() < 0.05 * scale + 1e-4
 
-    @pytest.mark.parametrize("k", [1, 130, 513, 1664])
-    def test_value_fn_forwards_unpadded_eval_batch_chunks(self, monkeypatch, k):
+    @pytest.mark.parametrize("k, sizes", [
+        (1, [1]), (130, [130]), (513, [256, 257]), (1664, [512, 512, 320, 320])],
+        ids=["1", "130", "513", "1664"])
+    def test_value_fn_forwards_unpadded_eval_batch_chunks(self, monkeypatch, k, sizes):
         seen = []
 
         def counting(params, spec, X, **kwargs):
             seen.append(X.copy())
             return forward(params, spec, X, **kwargs)
-        monkeypatch.setattr(T, "forward", counting)
-        spec = tiny_spec_for(6, 3, rate=0.0)
+        monkeypatch.setattr(MOD, "forward", counting)
+        # chunks of EVAL_ROW_STEPS // T = 512 rows at T=20, the last two even
+        spec = tiny_spec_for(20, 3, rate=0.0)
+        assert MOD.eval_rows(spec) == 512
         params = build(spec, RngStream(12))
-        rows = RngStream(13).normal(size=(k, 6))
+        rows = RngStream(13).normal(size=(k, 20))
         out = model_value_fn(params, spec)(rows)
-        assert [len(X) for X in seen] == [min(T.EVAL_BATCH, k - s)
-                                          for s in range(0, k, T.EVAL_BATCH)]
+        assert [len(X) for X in seen] == sizes
         assert np.array_equal(np.concatenate(seen), rows[:, :, None])
         assert out.shape == (k, 3)
-        assert np.abs(out - predict(params, spec, rows[:, :, None])).max() <= 1e-12
+        assert np.abs(out - forward(params, spec, rows[:, :, None])[0]).max() <= 1e-12
 
     def test_empty_background_rejected(self):
         with pytest.raises(ValueError, match="empty"):

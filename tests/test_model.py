@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import check_model_grads, shrink_variant, tiny_bigat_spec
-from bigatid import layers as L
+from conftest import check_model_grads, shrink_variant, tiny_bigat_spec, traced_peak
+from bigatid import layers as L, model as MOD
 from bigatid.model import (
     BlockSpec,
     CheckpointChecksumError,
@@ -21,6 +21,7 @@ from bigatid.model import (
     backward,
     bigat_spec,
     build,
+    eval_rows,
     forward,
     format_inspect_table,
     inspect_table,
@@ -203,6 +204,49 @@ class TestForward:
             assert params.keys() == grads.keys()
             for name, g in grads.items():
                 assert np.isfinite(g).all(), (v.label, name)
+
+
+# The canonical model and the shrunk Table-5 variants, by name.
+PREDICT_SPECS = {"canonical": bigat_spec(83, 6),
+                 **{f"variant{v.id}": shrink_variant(v.spec) for v in table5_variants(8, 3)}}
+
+
+class TestPredict:
+    @pytest.mark.parametrize("name", list(PREDICT_SPECS))
+    def test_chunks_match_one_whole_batch_forward(self, monkeypatch, name):
+        spec = PREDICT_SPECS[name]
+        # 52-row chunks, the last two even: 209 rows run as 3 x 52, 26 and 27
+        monkeypatch.setattr(MOD, "EVAL_ROW_STEPS", 52 * spec.seq_len + spec.seq_len - 1)
+        assert eval_rows(spec) == 52
+        params = build(spec, RngStream(40))
+        x = RngStream(41).normal(size=(209, spec.seq_len, 1))
+        for b in (1, 3, 209):
+            whole, _ = forward(params, spec, x[:b], mode="eval")
+            assert np.array_equal(predict(params, spec, x[:b]), whole), (name, b)
+
+    def test_empty_batch(self):
+        spec = tiny_bigat_spec()
+        probs = predict(build(spec, RngStream(44)), spec, np.zeros((0, 6, 1)))
+        assert probs.shape == (0, 3)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        spec = tiny_bigat_spec()
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            predict(build(spec, RngStream(45)), spec, np.zeros((2, 6, 1)), batch_size)
+
+    def test_peak_memory_is_one_chunks_whatever_the_batch(self):
+        # 1,024 rows at T=83 run as seven chunks of 123, then 81 and 82;
+        # beyond the peak of one 123-row chunk only the larger output array
+        # may add, with 64 kB of slack
+        spec = bigat_spec(83, 6)
+        params = build(spec, RngStream(42))
+        x = RngStream(43).normal(size=(1024, 83, 1))
+        rows = eval_rows(spec)
+        assert rows == 123
+        one = traced_peak(lambda: predict(params, spec, x[:rows]))
+        many = traced_peak(lambda: predict(params, spec, x))
+        assert many <= one + (len(x) - rows) * spec.n_classes * 8 + 64 * 1024
 
 
 class TestConstructionErrors:

@@ -7,7 +7,8 @@ the CLI writes every report file: the library opens a file for writing only
 for the two formats it reads back. One CLI function fits every model: it
 alone balances a training split and trains. And one clock times the
 library: a CLI stage times itself, and every timed eval pass runs in the
-inference bench."""
+inference bench. One loop runs the model for evaluation: `model.predict`
+alone calls its forward in eval mode."""
 
 import ast
 import collections
@@ -139,3 +140,34 @@ def test_only_the_stage_and_the_bench_read_the_clock():
     strays, idle = sorted(readers - CLOCKS), sorted(CLOCKS - readers)
     assert strays == [], f"perf_counter named outside {sorted(CLOCKS)}, in {strays}"
     assert idle == [], f"clocks that read no perf_counter, to drop from CLOCKS: {idle}"
+
+
+# The library's one eval loop, which bounds the rows of every eval forward.
+EVAL_LOOP = "model.predict"
+
+
+def _eval_forward(call: ast.Call) -> bool:
+    """Whether `call` runs the model's forward, as `forward(...)` or
+    `MODULE.forward(...)`, in eval mode: with no mode, the default, or with
+    one that is not the literal "train". A block kind's `node.kind.forward`
+    is a layer of the model, not the model."""
+    func = call.func
+    if not (isinstance(func, ast.Name) and func.id == "forward"
+            or isinstance(func, ast.Attribute) and func.attr == "forward"
+            and isinstance(func.value, ast.Name)):
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[3] if len(call.args) > 3 else ast.Constant("eval"))
+    return not (isinstance(mode, ast.Constant) and mode.value == "train")
+
+
+def test_only_predict_runs_eval_forwards():
+    callers = set()
+    for path in sorted((ROOT / "src" / "bigatid").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner, _ = _owners(tree, path.stem)
+        callers.update(owner.get(node.lineno, f"{path.stem}.<module>") for node in ast.walk(tree)
+                       if isinstance(node, ast.Call) and _eval_forward(node))
+    strays = sorted(callers - {EVAL_LOOP})
+    assert strays == [], f"forward run in eval mode outside {EVAL_LOOP}, in {strays}"
+    assert EVAL_LOOP in callers, f"{EVAL_LOOP} no longer runs forward in eval mode"
